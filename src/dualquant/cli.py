@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -132,9 +133,44 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Keys a run manifest must hold, and the keys required inside each section.
+_MANIFEST_KEYS = {
+    "k": (),
+    "coarse_bits": (),
+    "fine_bits": (),
+    "filter": ("num_taps", "beta", "sha256"),
+    "frame": ("window_len", "hop", "num_channels"),
+    "sample_rate_hz": (),
+    "original_len": (),
+    "padded_len": (),
+    "normalization_scale": (),
+    "solver": ("tau", "sigma"),
+    "files": ("y1", "y2"),
+}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+
+
+def _check_manifest(manifest, path) -> None:
+    """Raise ``ValueError`` naming the first missing or unknown key."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    for key, inner in _MANIFEST_KEYS.items():
+        if key not in manifest:
+            raise ValueError(f"{path}: manifest lacks key {key!r}")
+        if inner and not isinstance(manifest[key], dict):
+            raise ValueError(f"{path}: manifest key {key!r} is not an object")
+        for name in inner:
+            if name not in manifest[key]:
+                raise ValueError(f"{path}: manifest lacks key '{key}.{name}'")
+    unknown = sorted(set(manifest["solver"]) - _SOLVER_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
+
+
 def _load_run_inputs(args):
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
+    _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     fir = build_filter(
         manifest["k"], manifest["filter"]["num_taps"], manifest["filter"]["beta"]

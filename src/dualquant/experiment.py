@@ -34,7 +34,6 @@ __all__ = [
     "GridRow",
     "RESULT_COLUMNS",
     "build_filter",
-    "build_frame",
     "padded_length",
     "synth_sparse_signal",
     "synth_corpus",
@@ -163,10 +162,6 @@ def padded_length(length: int, k: int, hop: int, channels: int) -> int:
     """Smallest admissible signal length >= ``length`` for the pipeline."""
     base = math.lcm(k, hop, channels)
     return ((length + base - 1) // base) * base
-
-
-def build_frame(signal_len: int, window: int, hop: int, channels: int) -> TfFrame:
-    return make_tight_frame(window, hop, channels, signal_len)
 
 
 def synth_sparse_signal(rng: np.random.Generator, duration_s: float, rate_hz: int) -> Signal:
@@ -324,8 +319,8 @@ def run_grid(cfg: ExperimentConfig) -> list[GridRow]:
         target = padded_length(len(x), cfg.k, cfg.frame_hop, cfg.frame_channels)
         x_pad = pad_to_multiple(x, target)
         if target not in frames:
-            frames[target] = build_frame(
-                target, cfg.frame_window, cfg.frame_hop, cfg.frame_channels
+            frames[target] = make_tight_frame(
+                cfg.frame_window, cfg.frame_hop, cfg.frame_channels, target
             )
         for coarse in cfg.coarse_bits:
             for fine in cfg.fine_bits:

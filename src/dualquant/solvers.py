@@ -12,6 +12,10 @@ ever evaluated).  The single-branch baseline drops the fine branch and runs
 the Chambolle-Pock iteration, whose primal step projects directly onto the
 coarse box.
 
+The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
+which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
+l1 prox therefore clips each bin at ``lam * weight``.
+
 Step sizes: with a Parseval frame (norm 1), identity and a filter whose
 operator norm is at most the l1 norm of its taps, the stacked operator has
 squared norm at most 2 + l1^2, giving the sufficient condition
@@ -113,17 +117,28 @@ class SolverRun:
     feasibility_gap: FeasibilityGap
 
 
-def clip_complex(c, lam: float) -> np.ndarray:
+def clip_complex(c, lam, out=None) -> np.ndarray:
     """Project coefficients onto the ball of modulus at most ``lam``.
 
     Moduli above ``lam`` are rescaled onto the ball boundary with phase
     preserved; everything else passes through unchanged.  This is the prox
     of the convex conjugate of lam * |.|_1 for complex coefficients.
+    ``lam`` may be an array broadcastable against ``c`` (one radius per
+    coefficient, for a weighted l1 norm).  With ``out`` (which may be ``c``
+    itself) the result is written there instead of a new array.
     """
-    if lam <= 0:
+    if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
     c = np.asarray(c)
-    return c * (lam / np.maximum(np.abs(c), lam))
+    scale = np.abs(c).astype(np.float64, copy=False)
+    np.maximum(scale, lam, out=scale)
+    np.divide(lam, scale, out=scale)
+    return np.multiply(c, scale, out=out)
+
+
+def _weighted_l1(c: np.ndarray, frame: TfFrame) -> float:
+    """``|A_full x|_1`` from the half-spectrum coefficients ``c = A x``."""
+    return float(np.sum(np.abs(c).reshape(frame.coeff_shape) @ frame.coeff_weight))
 
 
 def default_steps(b: FirFilter) -> tuple[float, float]:
@@ -244,7 +259,12 @@ def cva_solve_sets(
     rate = sample_rate_hz or _rate_of(reference) or 1
 
     tau, sigma, rho, lam = cfg.tau, cfg.sigma, cfg.rho, cfg.lam
-    u1 = np.zeros(frame.num_coeffs, dtype=np.complex128)
+    # u1 and ax are updated in place; ``step`` is the scratch buffer of the
+    # u1 update; the only complex array allocated per iteration is A x.
+    shape = frame.coeff_shape
+    radius = lam * frame.coeff_weight
+    u1 = np.zeros(shape, dtype=np.complex128)
+    step = np.empty(shape, dtype=np.complex128)
     u2 = np.zeros(length // factor)
     u3 = np.zeros(length)
     objective = np.empty(cfg.max_iters)
@@ -254,7 +274,7 @@ def cva_solve_sets(
     best_iter = None
     # Coefficients of the running iterate, updated through the same linear
     # combinations as the iterate itself; used for the objective trace.
-    ax = ops.analyze(x)
+    ax = ops.analyze(x).reshape(shape)
 
     for i in range(cfg.max_iters):
         grad = ops.synthesize(u1)
@@ -264,9 +284,13 @@ def cva_solve_sets(
         x_next = x + rho * (x_tilde - x)
         lookahead = 2.0 * x_tilde - x
 
-        a_look = ops.analyze(lookahead)
-        u1_tilde = clip_complex(u1 + sigma * a_look, lam)
-        u1 += rho * (u1_tilde - u1)
+        a_look = ops.analyze(lookahead).reshape(shape)
+        np.multiply(a_look, sigma, out=step)
+        step += u1
+        clip_complex(step, radius, out=step)
+        step -= u1
+        step *= rho
+        u1 += step
         p2 = u2 + sigma * ops.down_filter(lookahead)
         u2 += rho * (p2 - sigma * project(fine_set, p2 / sigma) - u2)
         p3 = u3 + sigma * lookahead
@@ -277,8 +301,12 @@ def cva_solve_sets(
             rel = float(np.linalg.norm(x_next - x)) / denom
             logger.debug("iter %d relative primal change %.3e", i + 1, rel)
         x = x_next
-        ax += rho * (0.5 * (a_look + ax) - ax)
-        objective[i] = lam * float(np.sum(np.abs(ax)))
+        a_look += ax
+        a_look *= 0.5
+        a_look -= ax
+        a_look *= rho
+        ax += a_look
+        objective[i] = lam * _weighted_l1(ax, frame)
         if ref is not None:
             value = sdr(ref, x)
             sdr_values[i] = value
@@ -348,7 +376,9 @@ def cpa_solve_box(
     rate = sample_rate_hz or _rate_of(reference) or 1
 
     tau, sigma, lam = cfg.tau, cfg.sigma, cfg.lam
-    u = np.zeros(frame.num_coeffs, dtype=np.complex128)
+    shape = frame.coeff_shape
+    radius = lam * frame.coeff_weight
+    u = np.zeros(shape, dtype=np.complex128)
     x_bar = x.copy()
     objective = np.empty(cfg.max_iters)
     sdr_values = np.empty(cfg.max_iters) if ref is not None else None
@@ -357,7 +387,10 @@ def cpa_solve_box(
     best_iter = None
 
     for i in range(cfg.max_iters):
-        u = clip_complex(u + sigma * analyze(frame, x_bar), lam)
+        step = analyze(frame, x_bar).reshape(shape)
+        step *= sigma
+        step += u
+        clip_complex(step, radius, out=u)
         x_next = project(box, x - tau * synthesize(frame, u))
         x_bar = 2.0 * x_next - x
         if logger.isEnabledFor(logging.DEBUG):
@@ -365,7 +398,7 @@ def cpa_solve_box(
             rel = float(np.linalg.norm(x_next - x)) / denom
             logger.debug("iter %d relative primal change %.3e", i + 1, rel)
         x = x_next
-        objective[i] = lam * float(np.sum(np.abs(analyze(frame, x))))
+        objective[i] = lam * _weighted_l1(analyze(frame, x), frame)
         if ref is not None:
             value = sdr(ref, x)
             sdr_values[i] = value

@@ -141,6 +141,27 @@ class TestReconstruct:
         assert rc == 1
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_manifest_missing_key_reported(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"k": 4}))
+        rc = main(["reconstruct", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'coarse_bits'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_manifest_unknown_solver_key_reported(self, workspace, capsys):
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run")
+        manifest = read_manifest(outdir / "manifest.json")
+        manifest["solver"]["gamma"] = 0.5
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["reconstruct", str(outdir / "manifest.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'gamma'" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestBaseline:
     def test_runs_and_writes(self, workspace):

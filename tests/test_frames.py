@@ -4,6 +4,10 @@ import pytest
 from dualquant import Signal, analyze, hann_window, make_tight_frame, synthesize
 from dualquant.frames import TfFrame
 
+# Odd channel count (no Nyquist bin), and a window that is not a whole
+# number of hops.
+ODD_FRAME = make_tight_frame(7, 3, 9, 36)
+
 
 def brute_force_matrix(frame):
     """Analysis operator as an explicit matrix, one basis vector at a time."""
@@ -55,9 +59,12 @@ class TestConstruction:
             TfFrame(g, g, 2, 4, 8)  # prototype itself is not tight
 
     def test_coeff_count(self):
+        # one rfft half-spectrum (M//2 + 1 bins) per frame, frame-major
         frame = make_tight_frame(32, 8, 32, 256)
-        assert frame.num_coeffs == 32 * (256 // 8)
-        assert frame.coeff_shape == (32, 32)
+        assert frame.num_coeffs == (256 // 8) * (32 // 2 + 1)
+        assert frame.coeff_shape == (32, 17)
+        assert ODD_FRAME.coeff_shape == (12, 5)
+        assert ODD_FRAME.num_coeffs == 60
 
     def test_hann_window_positive_symmetric(self):
         for n in (1, 4, 33, 64):
@@ -91,14 +98,15 @@ class TestAnalyzeSynthesize:
 
     def test_adjoint_pairing(self, frame):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            x = rng.standard_normal(256)
-            c = rng.standard_normal(frame.num_coeffs) + 1j * rng.standard_normal(
-                frame.num_coeffs
-            )
-            lhs = np.real(np.sum(analyze(frame, x) * np.conj(c)))
-            rhs = np.dot(x, synthesize(frame, c))
-            assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
+        for fr in (frame, ODD_FRAME):
+            for _ in range(50):
+                x = rng.standard_normal(fr.signal_len)
+                c = rng.standard_normal(fr.num_coeffs) + 1j * rng.standard_normal(
+                    fr.num_coeffs
+                )
+                lhs = np.real(np.sum(analyze(fr, x) * np.conj(c)))
+                rhs = np.dot(x, synthesize(fr, c))
+                assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
 
     def test_linearity(self, frame):
         rng = np.random.default_rng(3)
@@ -107,14 +115,6 @@ class TestAnalyzeSynthesize:
         combined = analyze(frame, a * x + b * y)
         separate = a * analyze(frame, x) + b * analyze(frame, y)
         assert np.linalg.norm(combined - separate) < 1e-12 * np.linalg.norm(separate)
-
-    def test_conjugate_symmetry_for_real_input(self, frame):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(256)
-        c = analyze(frame, x).reshape(frame.coeff_shape)
-        m = np.arange(frame.num_channels)
-        mirrored = np.conj(c[(frame.num_channels - m) % frame.num_channels, :])
-        np.testing.assert_allclose(c, mirrored, atol=1e-12)
 
     def test_length_mismatch_rejected(self, frame):
         with pytest.raises(ValueError):
@@ -138,16 +138,38 @@ class TestSpectralBehavior:
         n = np.arange(32)
         x = np.cos(2 * np.pi * m0 * n / m)
         c = np.abs(analyze(frame, x).reshape(frame.coeff_shape))
-        on = np.zeros(m, dtype=bool)
-        on[[m0, m - m0]] = True
-        assert np.all(c[on, :] > 0.1)
-        assert np.all(c[~on, :] < 1e-10)
+        on = np.zeros(m // 2 + 1, dtype=bool)
+        on[m0] = True
+        assert np.all(c[:, on] > 0.1)
+        assert np.all(c[:, ~on] < 1e-10)
 
     def test_brute_force_tightness_small_frame(self):
-        frame = make_tight_frame(8, 4, 8, 32)
-        a = brute_force_matrix(frame)
-        gram = np.real(a.conj().T @ a)
-        np.testing.assert_allclose(gram, np.eye(32), atol=1e-10)
+        for frame in (make_tight_frame(8, 4, 8, 32), ODD_FRAME):
+            a = brute_force_matrix(frame)
+            gram = np.real(a.conj().T @ a)
+            np.testing.assert_allclose(gram, np.eye(frame.signal_len), atol=1e-10)
+
+    def test_moduli_match_full_gabor_formula(self):
+        # |c| / weight is the modulus of c[m, j] = sum_n x[n] w[n - j*hop]
+        # exp(-2i*pi*m*n/M) for the stored bins m = 0 .. M//2
+        rng = np.random.default_rng(6)
+        for frame in (make_tight_frame(8, 4, 8, 32), ODD_FRAME):
+            length, m, hop = frame.signal_len, frame.num_channels, frame.hop
+            x = rng.standard_normal(length)
+            n = np.arange(length)
+            expected = np.empty(frame.coeff_shape)
+            for j in range(frame.num_frames):
+                shifted = np.zeros(length)
+                shifted[(np.arange(frame.window.size) + j * hop) % length] = (
+                    frame.tight_window
+                )
+                for k in range(m // 2 + 1):
+                    atom = shifted * np.exp(-2j * np.pi * k * n / m)
+                    expected[j, k] = abs(np.sum(x * atom))
+            c = analyze(frame, x).reshape(frame.coeff_shape)
+            np.testing.assert_allclose(
+                np.abs(c) / frame.coeff_weight, expected, atol=1e-12
+            )
 
     def test_identity_frame(self):
         frame = make_tight_frame(1, 1, 1, 4)

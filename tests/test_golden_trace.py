@@ -1,0 +1,64 @@
+"""Both solvers reproduce stored per-iteration traces on a fixed input.
+
+The traces in ``data/golden_traces.json`` were recorded before the Gabor
+coefficients moved to the phase-free half-spectrum convention; a rewrite of
+the hot path must keep the iterates, not just clear the acceptance bounds.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualquant import (
+    AcquisitionModel,
+    Quantizer,
+    SolverConfig,
+    cpa_solve,
+    cva_solve,
+    default_steps,
+    make_tight_frame,
+    pad_to_multiple,
+    simulate_acquisition,
+)
+from dualquant.experiment import build_filter, padded_length, synth_corpus
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_traces.json").read_text())
+SDR_TOL_DB = 1e-10
+ITERS = 50
+
+
+@pytest.fixture(scope="module")
+def runs():
+    (_, x), = synth_corpus(1, 1337, 0.5, 16000)
+    length = padded_length(len(x), 4, 512, 2048)
+    x = pad_to_multiple(x, length)
+    frame = make_tight_frame(2048, 512, 2048, length)
+    fir = build_filter(4)
+    model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+    y1, y2 = simulate_acquisition(x, model)
+    lam = model.coarse.step / 2
+    tau, sigma = default_steps(fir)
+    cva = cva_solve(
+        y1, y2, model, frame, SolverConfig(tau, sigma, lam=lam, max_iters=ITERS), reference=x
+    )
+    cpa = cpa_solve(
+        y2, model.coarse, frame, SolverConfig(1.0, 1.0, lam=lam, max_iters=ITERS), reference=x
+    )
+    return {"cva": cva, "cpa": cpa}
+
+
+@pytest.mark.parametrize("solver", ["cva", "cpa"])
+def test_sdr_trace_matches_golden(runs, solver):
+    got = runs[solver].sdr_trace
+    want = np.array(GOLDEN[f"{solver}_sdr_trace"])
+    assert got.shape == want.shape == (ITERS,)
+    assert np.max(np.abs(got - want)) <= SDR_TOL_DB
+
+
+@pytest.mark.parametrize("solver", ["cva", "cpa"])
+def test_objective_trace_matches_golden(runs, solver):
+    np.testing.assert_allclose(
+        runs[solver].objective_trace, GOLDEN[f"{solver}_objective_trace"], rtol=1e-10
+    )

@@ -17,10 +17,12 @@ from dualquant import (
     cva_solve,
     cva_solve_sets,
     default_steps,
+    design_lowpass,
     make_tight_frame,
     quantize,
     simulate_acquisition,
 )
+from dualquant.solvers import _DualBranchOperators
 
 L = 4
 IDENTITY_FRAME = make_tight_frame(1, 1, 1, L)
@@ -66,6 +68,23 @@ class TestClipComplex:
         assert np.max(np.abs(out)) <= lam * (1 + 1e-12)
         inside = np.abs(c) <= lam
         np.testing.assert_array_equal(out[inside], c[inside])
+
+
+class TestDualBranchOperators:
+    def test_filter_pair_adjoint(self):
+        # the solver's own D_k B and its adjoint, criterion-1 style
+        rng = np.random.default_rng(2025)
+        fir = design_lowpass(4, 33, 8.0)
+        for length in (64, 256):
+            ops = _DualBranchOperators(make_tight_frame(32, 8, 32, length), fir, 4)
+            for _ in range(100):
+                x = rng.standard_normal(length)
+                w = rng.standard_normal(length // 4)
+                scale = np.linalg.norm(x) * np.linalg.norm(w)
+                err = abs(
+                    np.dot(ops.down_filter(x), w) - np.dot(x, ops.up_filter_adjoint(w))
+                ) / scale
+                assert err < 1e-10
 
 
 class TestDefaultSteps:
