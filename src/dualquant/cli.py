@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -148,10 +149,36 @@ _MANIFEST_KEYS = {
     "files": ("y1", "y2"),
 }
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+# Value type of each typed manifest key, dotted for section members; a
+# section member that is absent (an optional solver key) is not checked.
+_INT, _NUMBER, _TEXT = (int,), (int, float), (str,)
+_MANIFEST_TYPES = {
+    "k": _INT,
+    "coarse_bits": _INT,
+    "fine_bits": _INT,
+    "filter.num_taps": _INT,
+    "filter.beta": _NUMBER,
+    "filter.sha256": _TEXT,
+    "frame.window_len": _INT,
+    "frame.hop": _INT,
+    "frame.num_channels": _INT,
+    "sample_rate_hz": _INT,
+    "original_len": _INT,
+    "padded_len": _INT,
+    "normalization_scale": _NUMBER,
+    "solver.tau": _NUMBER,
+    "solver.sigma": _NUMBER,
+    "solver.rho": _NUMBER,
+    "solver.lam": _NUMBER,
+    "solver.max_iters": _INT,
+    "files.y1": _TEXT,
+    "files.y2": _TEXT,
+}
+_TYPE_NAMES = {_INT: "an integer", _NUMBER: "a finite number", _TEXT: "a string"}
 
 
 def _check_manifest(manifest, path) -> None:
-    """Raise ``ValueError`` naming the first missing or unknown key."""
+    """Raise ``ValueError`` naming the first missing, unknown or mistyped key."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
     for key, inner in _MANIFEST_KEYS.items():
@@ -165,6 +192,23 @@ def _check_manifest(manifest, path) -> None:
     unknown = sorted(set(manifest["solver"]) - _SOLVER_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
+    for dotted, types in _MANIFEST_TYPES.items():
+        section, _, name = dotted.rpartition(".")
+        holder = manifest[section] if section else manifest
+        if name not in holder:
+            continue
+        value = holder[name]
+        # bool is an int subclass, but true/false is no count or step size;
+        # JSON NaN and Infinity pass every ``<=`` check of SolverConfig
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            or (types is _NUMBER and not math.isfinite(value))
+        ):
+            raise ValueError(
+                f"{path}: manifest key '{dotted}' must be {_TYPE_NAMES[types]}, "
+                f"got {value!r}"
+            )
 
 
 def _load_run_inputs(args):

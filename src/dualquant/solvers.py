@@ -148,7 +148,29 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
 
 
 class _DualBranchOperators:
-    """Cached fast paths for the frame and the filtered/downsampled branch."""
+    """Cached fast paths for the frame and the filtered/downsampled branch.
+
+    ``down_filter`` is ``D_k B`` with ``B`` the circular filter and ``D_k``
+    keeping every k-th sample, so its output has length ``M = L/k``.
+    Keeping every k-th sample folds the spectrum: with ``Z = H * X`` the
+    length-L DFT of the filtered signal, the length-M DFT of the output is
+
+        Y[g] = (1/k) * sum_{r=0}^{k-1} Z[g + r*M],    g = 0 .. M-1.
+
+    Only the ``L//2 + 1`` ``rfft`` bins of ``Z`` are computed; a bin above
+    L/2 is the conjugate of its mirror, ``Z[f] = conj(Z[L-f])``.  Let
+    ``F[g]`` sum the ``rfft`` bins ``f = g (mod M)``, with DC and the even-L
+    Nyquist bin halved because the mirror counts them twice; then
+    ``k * Y[g] = F[g] + conj(F[-g mod M])``.  One length-L ``rfft`` and one
+    length-M ``irfft`` per call.
+
+    ``up_filter_adjoint`` is ``B^T D_k^T``.  Zero-stuffing ``w`` repeats its
+    length-M DFT ``W`` k times, so the length-L spectrum of ``D_k^T w`` is
+    ``W[f mod M]``: the ``rfft`` of ``w`` is mirrored to all M bins
+    (``W[g] = conj(W[M-g])``), repeated cyclically up to ``L//2 + 1`` bins
+    and multiplied by ``conj(H)``.  One length-M ``rfft`` and one length-L
+    ``irfft`` per call; no length-L zero-stuffed buffer.
+    """
 
     def __init__(self, frame: TfFrame, fir: FirFilter, factor: int):
         length = frame.signal_len
@@ -159,8 +181,11 @@ class _DualBranchOperators:
         self.frame = frame
         self.factor = factor
         self.length = length
+        self.short_len = length // factor
         self._spectrum = taps_spectrum(fir.taps, length)
         self._spectrum_conj = np.conj(self._spectrum)
+        # Bin -g mod M of the folded spectrum, for output bins g = 0 .. M//2.
+        self._mirror = -np.arange(self.short_len // 2 + 1) % self.short_len
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         return analyze(self.frame, v)
@@ -169,13 +194,50 @@ class _DualBranchOperators:
         return synthesize(self.frame, c)
 
     def down_filter(self, v: np.ndarray) -> np.ndarray:
-        filtered = np.fft.irfft(np.fft.rfft(v) * self._spectrum, n=self.length)
-        return filtered[:: self.factor]
+        half = np.fft.rfft(v)
+        half *= self._spectrum
+        half[0] *= 0.5
+        if self.length % 2 == 0:
+            half[-1] *= 0.5
+        m = self.short_len
+        fold = np.zeros(m, dtype=np.complex128)
+        for start in range(0, half.size, m):
+            chunk = half[start : start + m]
+            fold[: chunk.size] += chunk
+        spectrum = fold[: m // 2 + 1] + np.conj(fold[self._mirror])
+        spectrum *= 1.0 / self.factor
+        return np.fft.irfft(spectrum, n=m)
 
     def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.length)
-        padded[:: self.factor] = w
-        return np.fft.irfft(np.fft.rfft(padded) * self._spectrum_conj, n=self.length)
+        m = self.short_len
+        half = np.fft.rfft(w)
+        full = np.concatenate((half, np.conj(half[m - m // 2 - 1 : 0 : -1])))
+        spectrum = np.resize(full, self._spectrum.size)
+        spectrum *= self._spectrum_conj
+        return np.fft.irfft(spectrum, n=self.length)
+
+
+def _box_dual_prox(p, box: ConsistencySet, sigma: float):
+    """``p - sigma * project(box, p / sigma)``, computed in ``p``.
+
+    The Moreau form of the dual prox of a box indicator at
+    ``p = u + sigma * K x``.
+    """
+    proj = project(box, p / sigma)
+    proj *= sigma
+    p -= proj
+    return p
+
+
+def _relaxed(u, target, rho: float):
+    """``u + rho * (target - u)``, computed in place: ``target`` itself
+    when ``rho == 1``, else ``u`` (``target`` is overwritten)."""
+    if rho == 1.0:
+        return target
+    target -= u
+    target *= rho
+    u += target
+    return u
 
 
 def _rate_of(*candidates) -> int:
@@ -259,14 +321,16 @@ def cva_solve_sets(
     rate = sample_rate_hz or _rate_of(reference) or 1
 
     tau, sigma, rho, lam = cfg.tau, cfg.sigma, cfg.rho, cfg.lam
-    # u1 and ax are updated in place; ``step`` is the scratch buffer of the
-    # u1 update; the only complex array allocated per iteration is A x.
+    # Every update is in place.  The analysis of the look-ahead point is the
+    # only complex array allocated per iteration: it becomes the u1 prox
+    # argument and, with rho == 1, u1 itself; ``scratch`` holds the ax step.
     shape = frame.coeff_shape
     radius = lam * frame.coeff_weight
     u1 = np.zeros(shape, dtype=np.complex128)
-    step = np.empty(shape, dtype=np.complex128)
+    scratch = np.empty(shape, dtype=np.complex128)
     u2 = np.zeros(length // factor)
     u3 = np.zeros(length)
+    lookahead = np.empty(length)
     objective = np.empty(cfg.max_iters)
     sdr_values = np.empty(cfg.max_iters) if ref is not None else None
     best_sdr = -math.inf
@@ -280,32 +344,33 @@ def cva_solve_sets(
         grad = ops.synthesize(u1)
         grad += ops.up_filter_adjoint(u2)
         grad += u3
-        x_tilde = x - tau * grad
-        x_next = x + rho * (x_tilde - x)
-        lookahead = 2.0 * x_tilde - x
+        # x_tilde = x - tau * grad is not formed: the look-ahead point is
+        # 2 * x_tilde - x and the primal step is rho * (x_tilde - x).
+        np.multiply(grad, -2.0 * tau, out=lookahead)
+        lookahead += x
+        step = np.multiply(grad, -rho * tau, out=grad)
 
         a_look = ops.analyze(lookahead).reshape(shape)
-        np.multiply(a_look, sigma, out=step)
-        step += u1
-        clip_complex(step, radius, out=step)
-        step -= u1
-        step *= rho
-        u1 += step
-        p2 = u2 + sigma * ops.down_filter(lookahead)
-        u2 += rho * (p2 - sigma * project(fine_set, p2 / sigma) - u2)
-        p3 = u3 + sigma * lookahead
-        u3 += rho * (p3 - sigma * project(coarse_set, p3 / sigma) - u3)
+        # x moves by (rho/2) * (lookahead - x), and so does A x.
+        np.subtract(a_look, ax, out=scratch)
+        scratch *= 0.5 * rho
+        ax += scratch
+        a_look *= sigma
+        a_look += u1
+        u1 = _relaxed(u1, clip_complex(a_look, radius, out=a_look), rho)
+        p2 = ops.down_filter(lookahead)
+        p2 *= sigma
+        p2 += u2
+        u2 = _relaxed(u2, _box_dual_prox(p2, fine_set, sigma), rho)
+        p3 = np.multiply(lookahead, sigma)
+        p3 += u3
+        u3 = _relaxed(u3, _box_dual_prox(p3, coarse_set, sigma), rho)
 
         if logger.isEnabledFor(logging.DEBUG):
             denom = max(float(np.linalg.norm(x)), 1e-300)
-            rel = float(np.linalg.norm(x_next - x)) / denom
+            rel = float(np.linalg.norm(step)) / denom
             logger.debug("iter %d relative primal change %.3e", i + 1, rel)
-        x = x_next
-        a_look += ax
-        a_look *= 0.5
-        a_look -= ax
-        a_look *= rho
-        ax += a_look
+        x += step
         objective[i] = lam * _weighted_l1(ax, frame)
         if ref is not None:
             value = sdr(ref, x)

@@ -162,6 +162,28 @@ class TestReconstruct:
         assert err.startswith("error:") and "'gamma'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "k", "4"),
+            ("solver", "max_iters", "2"),
+            ("solver", "tau", True),
+            ("solver", "sigma", float("nan")),
+        ],
+    )
+    def test_manifest_mistyped_value_reported(self, workspace, capsys, section, key, value):
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run")
+        manifest = read_manifest(outdir / "manifest.json")
+        (manifest[section] if section else manifest)[key] = value
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["reconstruct", str(outdir / "manifest.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        dotted = f"{section}.{key}" if section else key
+        assert err.startswith("error:") and f"'{dotted}'" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestBaseline:
     def test_runs_and_writes(self, workspace):

@@ -3,6 +3,9 @@
 The traces in ``data/golden_traces.json`` were recorded before the Gabor
 coefficients moved to the phase-free half-spectrum convention; a rewrite of
 the hot path must keep the iterates, not just clear the acceptance bounds.
+The ``cva_rho15`` traces pin the over-relaxed (``rho != 1``) branch of the
+dual-branch updates; they were recorded before the filter pair moved to the
+aliasing fold.
 """
 
 import json
@@ -43,13 +46,21 @@ def runs():
     cva = cva_solve(
         y1, y2, model, frame, SolverConfig(tau, sigma, lam=lam, max_iters=ITERS), reference=x
     )
+    cva_rho15 = cva_solve(
+        y1,
+        y2,
+        model,
+        frame,
+        SolverConfig(tau, sigma, rho=1.5, lam=lam, max_iters=ITERS),
+        reference=x,
+    )
     cpa = cpa_solve(
         y2, model.coarse, frame, SolverConfig(1.0, 1.0, lam=lam, max_iters=ITERS), reference=x
     )
-    return {"cva": cva, "cpa": cpa}
+    return {"cva": cva, "cpa": cpa, "cva_rho15": cva_rho15}
 
 
-@pytest.mark.parametrize("solver", ["cva", "cpa"])
+@pytest.mark.parametrize("solver", ["cva", "cpa", "cva_rho15"])
 def test_sdr_trace_matches_golden(runs, solver):
     got = runs[solver].sdr_trace
     want = np.array(GOLDEN[f"{solver}_sdr_trace"])
@@ -57,7 +68,7 @@ def test_sdr_trace_matches_golden(runs, solver):
     assert np.max(np.abs(got - want)) <= SDR_TOL_DB
 
 
-@pytest.mark.parametrize("solver", ["cva", "cpa"])
+@pytest.mark.parametrize("solver", ["cva", "cpa", "cva_rho15"])
 def test_objective_trace_matches_golden(runs, solver):
     np.testing.assert_allclose(
         runs[solver].objective_trace, GOLDEN[f"{solver}_objective_trace"], rtol=1e-10

@@ -7,10 +7,13 @@ from hypothesis.extra.numpy import arrays
 from dualquant import (
     AcquisitionModel,
     ConsistencySet,
+    Downsampler,
     FirFilter,
     Quantizer,
     Signal,
     SolverConfig,
+    apply_filter,
+    apply_filter_adjoint,
     clip_complex,
     cpa_solve,
     cpa_solve_box,
@@ -18,9 +21,11 @@ from dualquant import (
     cva_solve_sets,
     default_steps,
     design_lowpass,
+    downsample,
     make_tight_frame,
     quantize,
     simulate_acquisition,
+    upsample_adjoint,
 )
 from dualquant.solvers import _DualBranchOperators
 
@@ -70,16 +75,51 @@ class TestClipComplex:
         np.testing.assert_array_equal(out[inside], c[inside])
 
 
+# (L, k) of the fold tests: odd L, odd L/k, taps longer than L/k (and than
+# L at 27), k = 1 (no fold) and k = L/k.
+FOLD_SHAPES = [(27, 3), (45, 5), (60, 4), (63, 7), (64, 1), (30, 2)]
+FOLD_FIR = FirFilter(np.random.default_rng(7).standard_normal(33))
+
+
+def fold_ops(length, k, fir=FOLD_FIR):
+    return _DualBranchOperators(make_tight_frame(1, 1, 1, length), fir, k)
+
+
 class TestDualBranchOperators:
+    @pytest.mark.parametrize("length, k", FOLD_SHAPES)
+    def test_down_filter_matches_filter_then_downsample(self, length, k):
+        rng = np.random.default_rng(length * 10 + k)
+        ops = fold_ops(length, k)
+        for _ in range(10):
+            x = rng.standard_normal(length)
+            want = downsample(apply_filter(x, FOLD_FIR), Downsampler(k))
+            got = ops.down_filter(x)
+            assert got.shape == (length // k,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length, k", FOLD_SHAPES)
+    def test_up_filter_adjoint_matches_upsample_then_correlate(self, length, k):
+        rng = np.random.default_rng(length * 10 + k)
+        ops = fold_ops(length, k)
+        for _ in range(10):
+            w = rng.standard_normal(length // k)
+            want = apply_filter_adjoint(upsample_adjoint(w, Downsampler(k), length), FOLD_FIR)
+            got = ops.up_filter_adjoint(w)
+            assert got.shape == (length,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_filter_pair_adjoint(self):
-        # the solver's own D_k B and its adjoint, criterion-1 style
+        # the solver's own D_k B and its adjoint, criterion-1 style, on the
+        # fold shapes and on the design filter at lengths 64 and 256
         rng = np.random.default_rng(2025)
-        fir = design_lowpass(4, 33, 8.0)
-        for length in (64, 256):
-            ops = _DualBranchOperators(make_tight_frame(32, 8, 32, length), fir, 4)
+        lowpass = design_lowpass(4, 33, 8.0)
+        cases = [(length, k, FOLD_FIR) for length, k in FOLD_SHAPES]
+        cases += [(length, 4, lowpass) for length in (64, 256)]
+        for length, k, fir in cases:
+            ops = fold_ops(length, k, fir)
             for _ in range(100):
                 x = rng.standard_normal(length)
-                w = rng.standard_normal(length // 4)
+                w = rng.standard_normal(length // k)
                 scale = np.linalg.norm(x) * np.linalg.norm(w)
                 err = abs(
                     np.dot(ops.down_filter(x), w) - np.dot(x, ops.up_filter_adjoint(w))
