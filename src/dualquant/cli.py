@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,11 @@ import numpy as np
 
 from .acquisition import AcquisitionModel, PEAK_TARGET, sdr, simulate_acquisition
 from .experiment import (
+    _INT,
+    _NUMBER,
+    _TEXT,
     ExperimentConfig,
+    _check_type,
     build_filter,
     padded_length,
     read_manifest,
@@ -151,7 +154,6 @@ _MANIFEST_KEYS = {
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 # Value type of each typed manifest key, dotted for section members; a
 # section member that is absent (an optional solver key) is not checked.
-_INT, _NUMBER, _TEXT = (int,), (int, float), (str,)
 _MANIFEST_TYPES = {
     "k": _INT,
     "coarse_bits": _INT,
@@ -174,7 +176,6 @@ _MANIFEST_TYPES = {
     "files.y1": _TEXT,
     "files.y2": _TEXT,
 }
-_TYPE_NAMES = {_INT: "an integer", _NUMBER: "a finite number", _TEXT: "a string"}
 
 
 def _check_manifest(manifest, path) -> None:
@@ -195,20 +196,8 @@ def _check_manifest(manifest, path) -> None:
     for dotted, types in _MANIFEST_TYPES.items():
         section, _, name = dotted.rpartition(".")
         holder = manifest[section] if section else manifest
-        if name not in holder:
-            continue
-        value = holder[name]
-        # bool is an int subclass, but true/false is no count or step size;
-        # JSON NaN and Infinity pass every ``<=`` check of SolverConfig
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, types)
-            or (types is _NUMBER and not math.isfinite(value))
-        ):
-            raise ValueError(
-                f"{path}: manifest key '{dotted}' must be {_TYPE_NAMES[types]}, "
-                f"got {value!r}"
-            )
+        if name in holder:
+            _check_type(f"{path}: manifest key '{dotted}'", holder[name], types)
 
 
 def _load_run_inputs(args):
@@ -248,30 +237,23 @@ def cmd_reconstruct(args) -> int:
         Quantizer(manifest["coarse_bits"]),
     )
     run = cva_solve(y1, y2, model, frame, cfg, reference=reference)
-    out = Path(args.out) if args.out else base / "xhat.wav"
-    trace = Path(args.trace) if args.trace else base / "trace.csv"
-    # Back to the input's amplitude domain: drop padding, undo normalization.
-    estimate = run.estimate.samples[: manifest["original_len"]]
-    estimate = estimate / manifest["normalization_scale"]
-    save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=64)
-    _write_trace(trace, run)
-    print(out)
-    return 0
+    return _write_run_outputs(args, manifest, base, run, suffix="")
 
 
 def cmd_baseline(args) -> int:
     manifest, base, fir, frame, y2, reference, cfg = _load_run_inputs(args)
-    run = cpa_solve(
-        y2,
-        Quantizer(manifest["coarse_bits"]),
-        frame,
-        SolverConfig(
-            1.0, 1.0, rho=cfg.rho, lam=cfg.lam, max_iters=cfg.max_iters
-        ),
-        reference=reference,
-    )
-    out = Path(args.out) if args.out else base / "xhat_baseline.wav"
-    trace = Path(args.trace) if args.trace else base / "trace_baseline.csv"
+    coarse = Quantizer(manifest["coarse_bits"])
+    baseline_cfg = dataclasses.replace(cfg, tau=1.0, sigma=1.0)
+    run = cpa_solve(y2, coarse, frame, baseline_cfg, reference=reference)
+    return _write_run_outputs(args, manifest, base, run, suffix="_baseline")
+
+
+def _write_run_outputs(args, manifest, base, run: SolverRun, suffix: str) -> int:
+    """Save the estimate (``--out``, else ``xhat<suffix>.wav``) and the trace
+    (``--trace``, else ``trace<suffix>.csv``) and print the estimate's path."""
+    out = Path(args.out) if args.out else base / f"xhat{suffix}.wav"
+    trace = Path(args.trace) if args.trace else base / f"trace{suffix}.csv"
+    # Back to the input's amplitude domain: drop padding, undo normalization.
     estimate = run.estimate.samples[: manifest["original_len"]]
     estimate = estimate / manifest["normalization_scale"]
     save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=64)

@@ -45,6 +45,55 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Value types of JSON settings (grid configs, run manifests).
+_INT, _NUMBER, _TEXT, _FLAG = (int,), (int, float), (str,), (bool,)
+_TYPE_NAMES = {
+    _INT: "an integer",
+    _NUMBER: "a finite number",
+    _TEXT: "a string",
+    _FLAG: "true or false",
+}
+
+
+def _check_type(label: str, value, types) -> None:
+    """Raise ``ValueError`` naming ``label`` unless ``value`` has ``types``,
+    one of the tuples above."""
+    # bool is an int subclass, but true/false is no count or step size;
+    # JSON NaN and Infinity pass every ``<=`` check of a config
+    if (
+        isinstance(value, bool) != (types is _FLAG)
+        or not isinstance(value, types)
+        or (types is _NUMBER and not math.isfinite(value))
+    ):
+        raise ValueError(f"{label} must be {_TYPE_NAMES[types]}, got {value!r}")
+
+
+# Value type of each config key but lambda_table; the keys of _CONFIG_LISTS
+# hold lists of that type, and lam may also be null.
+_CONFIG_TYPES = {
+    "signals": _TEXT,
+    "synth_count": _INT,
+    "synth_seed": _INT,
+    "synth_duration_s": _NUMBER,
+    "synth_rate_hz": _INT,
+    "coarse_bits": _INT,
+    "fine_bits": _INT,
+    "k": _INT,
+    "filter_taps": _INT,
+    "filter_beta": _NUMBER,
+    "frame_window": _INT,
+    "frame_hop": _INT,
+    "frame_channels": _INT,
+    "rho": _NUMBER,
+    "lam": _NUMBER,
+    "max_iters": _INT,
+    "output_dir": _TEXT,
+    "workers": _INT,
+    "record_timing": _FLAG,
+}
+_CONFIG_LISTS = {"signals", "coarse_bits", "fine_bits"}
+
+
 RESULT_COLUMNS = [
     "signal_id",
     "coarse_bits",
@@ -87,6 +136,19 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, types in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if name in _CONFIG_LISTS:
+                if not isinstance(value, list):
+                    raise ValueError(f"config key {name!r} must be a list, got {value!r}")
+                for item in value:
+                    _check_type(f"each entry of config key {name!r}", item, types)
+            elif not (name == "lam" and value is None):
+                _check_type(f"config key {name!r}", value, types)
+        if not isinstance(self.lambda_table, dict):
+            raise ValueError(
+                f"config key 'lambda_table' must be an object, got {self.lambda_table!r}"
+            )
         if not self.coarse_bits or not self.fine_bits:
             raise ValueError("coarse_bits and fine_bits must be nonempty")
         for w in [*self.coarse_bits, *self.fine_bits]:
@@ -100,12 +162,13 @@ class ExperimentConfig:
             raise ValueError("no input signals: supply paths or synth_count >= 1")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lam must be positive (or null for the automatic choice)")
-        for key in self.lambda_table:
-            parts = key.split(",")
+        for key, value in self.lambda_table.items():
+            parts = key.split(",") if isinstance(key, str) else []
             if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
                 raise ValueError(
                     f'lambda_table keys must look like "coarse,fine"; got {key!r}'
                 )
+            _check_type(f"lambda_table entry {key!r}", value, _NUMBER)
 
     def lambda_for(self, coarse: int, fine: int) -> float:
         """l1 weight for a grid cell: per-cell table entry, then the global
@@ -126,6 +189,8 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config is not a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -160,6 +225,10 @@ def build_filter(k: int, num_taps: int = 129, beta: float = 8.0) -> FirFilter:
 
 def padded_length(length: int, k: int, hop: int, channels: int) -> int:
     """Smallest admissible signal length >= ``length`` for the pipeline."""
+    named = {"signal length": length, "factor k": k, "frame hop": hop, "frame channels": channels}
+    for name, value in named.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     base = math.lcm(k, hop, channels)
     return ((length + base - 1) // base) * base
 

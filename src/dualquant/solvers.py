@@ -12,6 +12,13 @@ ever evaluated).  The single-branch baseline drops the fine branch and runs
 the Chambolle-Pock iteration, whose primal step projects directly onto the
 coarse box.
 
+Each iteration is a private generator (``_cva_steps``, ``_cpa_steps``)
+that advances the iterate and yields it with the weighted l1 norm of its
+coefficients; one driver (``_drive``) runs either generator for
+``max_iters`` steps and does the bookkeeping both share: the objective and
+SDR traces, the best-SDR iterate, DEBUG logging of the relative primal
+change and the assembled :class:`SolverRun`.
+
 The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
 which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
 l1 prox therefore clips each bin at ``lam * weight``.
@@ -148,7 +155,7 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
 
 
 class _DualBranchOperators:
-    """Cached fast paths for the frame and the filtered/downsampled branch.
+    """Cached fast path for the filtered/downsampled branch.
 
     ``down_filter`` is ``D_k B`` with ``B`` the circular filter and ``D_k``
     keeping every k-th sample, so its output has length ``M = L/k``.
@@ -172,13 +179,9 @@ class _DualBranchOperators:
     ``irfft`` per call; no length-L zero-stuffed buffer.
     """
 
-    def __init__(self, frame: TfFrame, fir: FirFilter, factor: int):
-        length = frame.signal_len
+    def __init__(self, length: int, fir: FirFilter, factor: int):
         if length % factor:
-            raise ValueError(
-                f"frame length {length} is not divisible by factor {factor}"
-            )
-        self.frame = frame
+            raise ValueError(f"signal length {length} is not divisible by factor {factor}")
         self.factor = factor
         self.length = length
         self.short_len = length // factor
@@ -186,12 +189,6 @@ class _DualBranchOperators:
         self._spectrum_conj = np.conj(self._spectrum)
         # Bin -g mod M of the folded spectrum, for output bins g = 0 .. M//2.
         self._mirror = -np.arange(self.short_len // 2 + 1) % self.short_len
-
-    def analyze(self, v: np.ndarray) -> np.ndarray:
-        return analyze(self.frame, v)
-
-    def synthesize(self, c: np.ndarray) -> np.ndarray:
-        return synthesize(self.frame, c)
 
     def down_filter(self, v: np.ndarray) -> np.ndarray:
         half = np.fft.rfft(v)
@@ -247,6 +244,43 @@ def _rate_of(*candidates) -> int:
     return 1
 
 
+def _start(x0, length: int, reference, sample_rate_hz):
+    """Checked start-up of either solver: a private copy of the start point
+    ``x0``, the reference samples (or ``None``) and the sample rate."""
+    x = samples_of(x0).copy()
+    if x.size != length:
+        raise ValueError(f"x0 (y2) length {x.size} does not match frame length {length}")
+    ref = None if reference is None else samples_of(reference)
+    if ref is not None and ref.size != length:
+        raise ValueError("reference length does not match the frame length")
+    return x, ref, sample_rate_hz or _rate_of(reference)
+
+
+def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
+    """Run ``cfg.max_iters`` steps of the iteration ``steps`` (a generator
+    yielding each iterate with the weighted l1 of its coefficients) from
+    ``x``; ``gap`` gives the (coarse, fine) violations of an iterate."""
+    objective = np.empty(cfg.max_iters)
+    sdr_values = np.empty(cfg.max_iters) if ref is not None else None
+    best_sdr, best_x, best_iter = -math.inf, None, None
+    debug = logger.isEnabledFor(logging.DEBUG)
+    for i in range(cfg.max_iters):
+        # a copy, since the dual-branch iteration updates its iterate in place
+        previous = x.copy() if debug else None
+        x, l1 = next(steps)
+        objective[i] = cfg.lam * l1
+        if debug:
+            rel = np.linalg.norm(x - previous) / max(np.linalg.norm(previous), 1e-300)
+            logger.debug("iter %d relative primal change %.3e", i + 1, rel)
+        if ref is not None:
+            value = sdr_values[i] = sdr(ref, x)
+            if value > best_sdr:
+                best_sdr, best_x, best_iter = value, x.copy(), i + 1
+    selected = best_x if best_x is not None else x
+    gap_at = FeasibilityGap(*gap(selected))
+    return SolverRun(Signal(selected, rate), objective, sdr_values, best_iter, gap_at)
+
+
 def cva_solve(
     y1,
     y2,
@@ -264,10 +298,6 @@ def cva_solve(
     y2_arr = samples_of(y2)
     y1_arr = samples_of(y1)
     k = model.factor
-    if y2_arr.size != frame.signal_len:
-        raise ValueError(
-            f"y2 length {y2_arr.size} does not match frame length {frame.signal_len}"
-        )
     if y1_arr.size * k != y2_arr.size:
         raise ValueError(
             f"y1 length {y1_arr.size} does not equal y2 length {y2_arr.size} / k={k}"
@@ -275,18 +305,10 @@ def cva_solve(
     fine_set = consistency_set(y1_arr, model.fine)
     coarse_set = consistency_set(y2_arr, model.coarse)
     if cfg is None:
-        tau, sigma = default_steps(model.filter)
-        cfg = SolverConfig(tau, sigma)
+        cfg = SolverConfig(*default_steps(model.filter))
     return cva_solve_sets(
-        fine_set,
-        coarse_set,
-        model.filter,
-        k,
-        frame,
-        x0=y2_arr,
-        cfg=cfg,
-        reference=reference,
-        sample_rate_hz=_rate_of(y2, reference),
+        fine_set, coarse_set, model.filter, k, frame, x0=y2_arr, cfg=cfg,
+        reference=reference, sample_rate_hz=_rate_of(y2, reference),
     )
 
 
@@ -308,40 +330,36 @@ def cva_solve_sets(
     the observations.
     """
     cfg.validate_for_cva(fir.l1_norm)
-    ops = _DualBranchOperators(frame, fir, factor)
-    length = ops.length
-    x = samples_of(x0).copy()
-    if x.size != length:
-        raise ValueError(f"x0 length {x.size} does not match frame length {length}")
-    if len(coarse_set) != length or len(fine_set) != length // factor:
+    ops = _DualBranchOperators(frame.signal_len, fir, factor)
+    x, ref, rate = _start(x0, ops.length, reference, sample_rate_hz)
+    if len(coarse_set) != ops.length or len(fine_set) != ops.short_len:
         raise ValueError("constraint box lengths do not match the operator shapes")
-    ref = None if reference is None else samples_of(reference)
-    if ref is not None and ref.size != length:
-        raise ValueError("reference length does not match the frame length")
-    rate = sample_rate_hz or _rate_of(reference) or 1
 
-    tau, sigma, rho, lam = cfg.tau, cfg.sigma, cfg.rho, cfg.lam
+    def gap(v):
+        return coarse_set.max_violation(v), fine_set.max_violation(ops.down_filter(v))
+
+    steps = _cva_steps(x, ops, frame, fine_set, coarse_set, cfg)
+    return _drive(steps, x, cfg, ref, rate, gap)
+
+
+def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_set, cfg):
+    """Condat-Vu iteration from ``x``, which it updates in place."""
+    tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
     # Every update is in place.  The analysis of the look-ahead point is the
     # only complex array allocated per iteration: it becomes the u1 prox
     # argument and, with rho == 1, u1 itself; ``scratch`` holds the ax step.
     shape = frame.coeff_shape
-    radius = lam * frame.coeff_weight
+    radius = cfg.lam * frame.coeff_weight
     u1 = np.zeros(shape, dtype=np.complex128)
     scratch = np.empty(shape, dtype=np.complex128)
-    u2 = np.zeros(length // factor)
-    u3 = np.zeros(length)
-    lookahead = np.empty(length)
-    objective = np.empty(cfg.max_iters)
-    sdr_values = np.empty(cfg.max_iters) if ref is not None else None
-    best_sdr = -math.inf
-    best_x = None
-    best_iter = None
+    u2 = np.zeros(ops.short_len)
+    u3 = np.zeros(ops.length)
+    lookahead = np.empty(ops.length)
     # Coefficients of the running iterate, updated through the same linear
     # combinations as the iterate itself; used for the objective trace.
-    ax = ops.analyze(x).reshape(shape)
-
-    for i in range(cfg.max_iters):
-        grad = ops.synthesize(u1)
+    ax = analyze(frame, x).reshape(shape)
+    while True:
+        grad = synthesize(frame, u1)
         grad += ops.up_filter_adjoint(u2)
         grad += u3
         # x_tilde = x - tau * grad is not formed: the look-ahead point is
@@ -350,7 +368,7 @@ def cva_solve_sets(
         lookahead += x
         step = np.multiply(grad, -rho * tau, out=grad)
 
-        a_look = ops.analyze(lookahead).reshape(shape)
+        a_look = analyze(frame, lookahead).reshape(shape)
         # x moves by (rho/2) * (lookahead - x), and so does A x.
         np.subtract(a_look, ax, out=scratch)
         scratch *= 0.5 * rho
@@ -366,32 +384,8 @@ def cva_solve_sets(
         p3 += u3
         u3 = _relaxed(u3, _box_dual_prox(p3, coarse_set, sigma), rho)
 
-        if logger.isEnabledFor(logging.DEBUG):
-            denom = max(float(np.linalg.norm(x)), 1e-300)
-            rel = float(np.linalg.norm(step)) / denom
-            logger.debug("iter %d relative primal change %.3e", i + 1, rel)
         x += step
-        objective[i] = lam * _weighted_l1(ax, frame)
-        if ref is not None:
-            value = sdr(ref, x)
-            sdr_values[i] = value
-            if value > best_sdr:
-                best_sdr = value
-                best_x = x.copy()
-                best_iter = i + 1
-
-    selected = best_x if best_x is not None else x
-    gap = FeasibilityGap(
-        coarse=coarse_set.max_violation(selected),
-        fine=fine_set.max_violation(ops.down_filter(selected)),
-    )
-    return SolverRun(
-        estimate=Signal(selected, rate),
-        objective_trace=objective,
-        sdr_trace=sdr_values,
-        best_sdr_iter=best_iter,
-        feasibility_gap=gap,
-    )
+        yield x, _weighted_l1(ax, frame)
 
 
 def cpa_solve(
@@ -404,20 +398,12 @@ def cpa_solve(
     """Single-branch baseline: sparse recovery from the coarse full-rate
     observation alone, via the Chambolle-Pock iteration."""
     y2_arr = samples_of(y2)
-    if y2_arr.size != frame.signal_len:
-        raise ValueError(
-            f"y2 length {y2_arr.size} does not match frame length {frame.signal_len}"
-        )
     box = consistency_set(y2_arr, quantizer)
     if cfg is None:
         cfg = SolverConfig(tau=1.0, sigma=1.0)
     return cpa_solve_box(
-        box,
-        frame,
-        x0=y2_arr,
-        cfg=cfg,
-        reference=reference,
-        sample_rate_hz=_rate_of(y2, reference),
+        box, frame, x0=y2_arr, cfg=cfg,
+        reference=reference, sample_rate_hz=_rate_of(y2, reference),
     )
 
 
@@ -431,53 +417,26 @@ def cpa_solve_box(
 ) -> SolverRun:
     """Chambolle-Pock iteration with an explicit constraint box."""
     cfg.validate_for_cpa()
-    length = frame.signal_len
-    x = samples_of(x0).copy()
-    if x.size != length or len(box) != length:
-        raise ValueError("x0 and box lengths must match the frame length")
-    ref = None if reference is None else samples_of(reference)
-    if ref is not None and ref.size != length:
-        raise ValueError("reference length does not match the frame length")
-    rate = sample_rate_hz or _rate_of(reference) or 1
+    x, ref, rate = _start(x0, frame.signal_len, reference, sample_rate_hz)
+    if len(box) != frame.signal_len:
+        raise ValueError("box length does not match the frame length")
+    steps = _cpa_steps(x, frame, box, cfg)
+    return _drive(steps, x, cfg, ref, rate, lambda v: (box.max_violation(v), 0.0))
 
-    tau, sigma, lam = cfg.tau, cfg.sigma, cfg.lam
+
+def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
+    """Chambolle-Pock iteration from ``x``; every iterate is a new array."""
+    tau, sigma = cfg.tau, cfg.sigma
     shape = frame.coeff_shape
-    radius = lam * frame.coeff_weight
+    radius = cfg.lam * frame.coeff_weight
     u = np.zeros(shape, dtype=np.complex128)
-    x_bar = x.copy()
-    objective = np.empty(cfg.max_iters)
-    sdr_values = np.empty(cfg.max_iters) if ref is not None else None
-    best_sdr = -math.inf
-    best_x = None
-    best_iter = None
-
-    for i in range(cfg.max_iters):
+    x_bar = x
+    while True:
         step = analyze(frame, x_bar).reshape(shape)
         step *= sigma
         step += u
         clip_complex(step, radius, out=u)
         x_next = project(box, x - tau * synthesize(frame, u))
         x_bar = 2.0 * x_next - x
-        if logger.isEnabledFor(logging.DEBUG):
-            denom = max(float(np.linalg.norm(x)), 1e-300)
-            rel = float(np.linalg.norm(x_next - x)) / denom
-            logger.debug("iter %d relative primal change %.3e", i + 1, rel)
         x = x_next
-        objective[i] = lam * _weighted_l1(analyze(frame, x), frame)
-        if ref is not None:
-            value = sdr(ref, x)
-            sdr_values[i] = value
-            if value > best_sdr:
-                best_sdr = value
-                best_x = x.copy()
-                best_iter = i + 1
-
-    selected = best_x if best_x is not None else x
-    gap = FeasibilityGap(coarse=box.max_violation(selected), fine=0.0)
-    return SolverRun(
-        estimate=Signal(selected, rate),
-        objective_trace=objective,
-        sdr_trace=sdr_values,
-        best_sdr_iter=best_iter,
-        feasibility_gap=gap,
-    )
+        yield x, _weighted_l1(analyze(frame, x), frame)

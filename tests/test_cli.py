@@ -94,6 +94,15 @@ class TestSimulate(object):
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_factor_reported(self, workspace, capsys):
+        tmp_path, wav = workspace
+        capsys.readouterr()
+        rc = main(["simulate", str(wav), "--outdir", str(tmp_path / "o"), "--k", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "factor k" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestReconstruct:
     def test_bitwise_reproducible(self, workspace):

@@ -57,6 +57,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"k": "4"}, "config key 'k' must be an integer"),
+            ({"k": True}, "config key 'k' must be an integer"),
+            ({"coarse_bits": 8}, "config key 'coarse_bits' must be a list"),
+            ({"coarse_bits": [8, "10"]}, "entry of config key 'coarse_bits'"),
+            ({"max_iters": "3"}, "config key 'max_iters' must be an integer"),
+            ({"max_iters": 3.0}, "config key 'max_iters' must be an integer"),
+            ({"lam": "0.1"}, "config key 'lam' must be a finite number"),
+            ({"rho": True}, "config key 'rho' must be a finite number"),
+            ({"filter_beta": float("nan")}, "config key 'filter_beta'"),
+            ({"record_timing": 1}, "config key 'record_timing' must be true or false"),
+            ({"output_dir": 3}, "config key 'output_dir' must be a string"),
+            ({"lambda_table": {"10,20": "0.5"}}, "lambda_table entry '10,20'"),
+            ([1, 2], "not a JSON object"),
+        ],
+    )
+    def test_mistyped_config_rejected(self, tmp_path, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_file(path)
+
     def test_empty_bit_lists_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(coarse_bits=[])
@@ -106,6 +130,16 @@ class TestHelpers:
     def test_padded_length(self):
         assert padded_length(32000, 4, 512, 2048) == 32768
         assert padded_length(2048, 4, 512, 2048) == 2048
+        # a zero factor, hop or channel count would make the lcm 0
+        for args, name in [
+            ((32000, 0, 512, 2048), "factor k"),
+            ((32000, 4, 0, 2048), "frame hop"),
+            ((32000, 4, 512, 0), "frame channels"),
+            ((32000, -4, 512, 2048), "factor k"),
+            ((0, 4, 512, 2048), "signal length"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                padded_length(*args)
 
     def test_build_filter_impulse_for_unit_factor(self):
         fir = build_filter(1)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -82,7 +84,7 @@ FOLD_FIR = FirFilter(np.random.default_rng(7).standard_normal(33))
 
 
 def fold_ops(length, k, fir=FOLD_FIR):
-    return _DualBranchOperators(make_tight_frame(1, 1, 1, length), fir, k)
+    return _DualBranchOperators(length, fir, k)
 
 
 class TestDualBranchOperators:
@@ -358,17 +360,40 @@ class TestRunBookkeeping:
         y1, y2 = simulate_acquisition(x, model)
         return x, y1, y2, model, frame
 
-    def test_trace_lengths_and_selection(self):
+    def _solve(self, solver, max_iters, with_reference=True):
         x, y1, y2, model, frame = self._pipeline()
-        tau, sigma = default_steps(model.filter)
-        cfg = SolverConfig(tau, sigma, lam=0.01, max_iters=30)
-        run = cva_solve(y1, y2, model, frame, cfg, reference=x)
-        assert run.objective_trace.shape == (30,)
-        assert run.sdr_trace.shape == (30,)
-        assert 1 <= run.best_sdr_iter <= 30
+        reference = x if with_reference else None
+        if solver == "cva":
+            cfg = SolverConfig(*default_steps(model.filter), lam=0.01, max_iters=max_iters)
+            return x, cva_solve(y1, y2, model, frame, cfg, reference=reference)
+        cfg = SolverConfig(1.0, 1.0, lam=0.01, max_iters=max_iters)
+        return x, cpa_solve(y2, model.coarse, frame, cfg, reference=reference)
+
+    def test_trace_lengths_and_selection(self):
         from dualquant import sdr
 
-        assert sdr(x, run.estimate) == pytest.approx(float(np.max(run.sdr_trace)))
+        for solver in ("cva", "cpa"):
+            x, run = self._solve(solver, 30)
+            assert run.objective_trace.shape == (30,)
+            assert run.sdr_trace.shape == (30,)
+            assert 1 <= run.best_sdr_iter <= 30
+            assert run.sdr_trace[run.best_sdr_iter - 1] == np.max(run.sdr_trace)
+            assert sdr(x, run.estimate) == pytest.approx(float(np.max(run.sdr_trace)))
+
+    @pytest.mark.parametrize("solver", ["cva", "cpa"])
+    def test_debug_log_one_primal_change_per_iteration(self, solver, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dualquant.solvers"):
+            _, run = self._solve(solver, 7, with_reference=False)
+        records = [r for r in caplog.records if "relative primal change" in r.getMessage()]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert [r.args[0] for r in records] == list(range(1, 8))
+        # the last change is |x7 - x6| / |x6|, and logging leaves the run as it is
+        _, quiet = self._solve(solver, 7, with_reference=False)
+        np.testing.assert_array_equal(run.estimate.samples, quiet.estimate.samples)
+        x6 = self._solve(solver, 6, with_reference=False)[1].estimate.samples
+        change = np.linalg.norm(quiet.estimate.samples - x6) / np.linalg.norm(x6)
+        assert change > 0
+        assert records[-1].args[1] == pytest.approx(change, rel=1e-9)
 
     def test_no_reference_returns_final_iterate(self):
         x, y1, y2, model, frame = self._pipeline()
