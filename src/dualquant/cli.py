@@ -81,28 +81,30 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     x = load_wav(args.input)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     peak = float(np.max(np.abs(x.samples)))
     if peak == 0.0:
         raise ValueError(f"{args.input}: signal is identically zero")
     scale = PEAK_TARGET / peak
     original_len = len(x)
     target = padded_length(original_len, args.k, args.frame_hop, args.frame_channels)
-    x_pad = pad_to_multiple(x.with_samples(x.samples * scale), target)
-
     fir = build_filter(args.k, args.filter_taps, args.filter_beta)
+    # Build what reconstruct and baseline will build from the manifest, so
+    # settings they would reject fail here, before any file is written.
+    make_tight_frame(args.frame_window, args.frame_hop, args.frame_channels, target)
+    lam = args.lam if args.lam is not None else Quantizer(args.coarse_bits).step / 2
+    cfg = SolverConfig(*default_steps(fir), rho=args.rho, lam=lam, max_iters=args.iters)
     model = AcquisitionModel(
         fir, args.k, Quantizer(args.fine_bits), Quantizer(args.coarse_bits)
     )
+
+    x_pad = pad_to_multiple(x.with_samples(x.samples * scale), target)
     y1, y2 = simulate_acquisition(x_pad, model)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     save_wav(outdir / "y1.wav", y1, bits=64)
     save_wav(outdir / "y2.wav", y2, bits=64)
     save_wav(outdir / "reference.wav", x_pad, bits=64)
     export_taps_csv(fir, outdir / "taps.csv")
-    tau, sigma = default_steps(fir)
-    lam = args.lam if args.lam is not None else Quantizer(args.coarse_bits).step / 2
     write_manifest(
         outdir / "manifest.json",
         {
@@ -123,13 +125,7 @@ def cmd_simulate(args) -> int:
             "original_len": original_len,
             "padded_len": target,
             "normalization_scale": scale,
-            "solver": {
-                "tau": tau,
-                "sigma": sigma,
-                "rho": args.rho,
-                "lam": lam,
-                "max_iters": args.iters,
-            },
+            "solver": dataclasses.asdict(cfg),
             "files": {"y1": "y1.wav", "y2": "y2.wav", "reference": "reference.wav"},
         },
     )

@@ -160,8 +160,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not self.signals and self.synth_count < 1:
             raise ValueError("no input signals: supply paths or synth_count >= 1")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive (or null for the automatic choice)")
+        lams = [("config", 1.0 if self.lam is None else self.lam)]
         for key, value in self.lambda_table.items():
             parts = key.split(",") if isinstance(key, str) else []
             if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
@@ -169,6 +168,14 @@ class ExperimentConfig:
                     f'lambda_table keys must look like "coarse,fine"; got {key!r}'
                 )
             _check_type(f"lambda_table entry {key!r}", value, _NUMBER)
+            lams.append((f"lambda_table entry {key!r}", value))
+        # The solver's own rules, so that no cell fails on a setting the
+        # config could have rejected; the steps here are placeholders.
+        for label, lam in lams:
+            try:
+                SolverConfig(1.0, 1.0, rho=self.rho, lam=lam, max_iters=self.max_iters)
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
 
     def lambda_for(self, coarse: int, fine: int) -> float:
         """l1 weight for a grid cell: per-cell table entry, then the global

@@ -23,6 +23,12 @@ divides L, M divides L), where the frame operator is diagonal and the
 canonical tight window is a pointwise normalization of the prototype.  For
 a tight frame the synthesis operator below is both the adjoint and the
 inverse of analysis.
+
+Both transforms take an optional ``out=`` array, in the numpy idiom, so an
+iterative solver can keep its coefficient and signal buffers for a whole
+run.  Neither builds a weighted copy of the coefficients: the constant
+parts of the weights ride on the windows, and the DC and Nyquist bins are
+corrected on their own (see :func:`analyze` and :func:`synthesize`).
 """
 
 from __future__ import annotations
@@ -78,6 +84,11 @@ class TfFrame:
     signal_len: int
     num_frames: int = field(init=False, repr=False)
     coeff_weight: np.ndarray = field(init=False, repr=False)
+    # The tight window times sqrt(2) (analysis) and times M / sqrt(2)
+    # (synthesis): the interior-bin weight and the irfft scale, applied on
+    # the window instead of on the coefficients.
+    _analysis_window: np.ndarray = field(init=False, repr=False)
+    _synthesis_window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         window = np.asarray(self.window, dtype=np.float64)
@@ -113,6 +124,8 @@ class TfFrame:
         weight = np.ones(m // 2 + 1)
         weight[1 : (m + 1) // 2] = math.sqrt(2.0)
         object.__setattr__(self, "coeff_weight", weight)
+        object.__setattr__(self, "_analysis_window", math.sqrt(2.0) * tight)
+        object.__setattr__(self, "_synthesis_window", (m / math.sqrt(2.0)) * tight)
 
     @property
     def num_coeffs(self) -> int:
@@ -141,45 +154,90 @@ def make_tight_frame(
     return TfFrame(g, tight, hop, num_channels, signal_len)
 
 
-def analyze(frame: TfFrame, x) -> np.ndarray:
-    """Tight-frame analysis coefficients of ``x`` (flat complex array)."""
+def _check_out(out, shapes, dtype) -> None:
+    """Raise ``ValueError`` unless ``out`` is a C-contiguous ``dtype`` array
+    of one of ``shapes``."""
+    ok = isinstance(out, np.ndarray) and out.dtype == dtype and out.shape in shapes
+    if not (ok and out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
+            f"{' or '.join(map(str, shapes))}, got {getattr(out, 'shape', out)!r}"
+        )
+
+
+def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
+    """Tight-frame analysis coefficients of ``x`` (flat complex array).
+
+    With ``out`` (a C-contiguous complex128 array of ``num_coeffs`` or of
+    ``coeff_shape``) the coefficients are written there and ``out`` is
+    returned.  The window carries the sqrt(2) interior weight, so only the
+    DC and (even ``M``) Nyquist columns are rescaled after the ``rfft``.
+    """
     arr = samples_of(x)
     if arr.size != frame.signal_len:
         raise ValueError(
             f"signal length {arr.size} does not match frame length {frame.signal_len}"
         )
-    w, hop = frame.window.size, frame.hop
+    if out is None:
+        out = np.empty(frame.num_coeffs, dtype=np.complex128)
+    else:
+        _check_out(out, ((frame.num_coeffs,), frame.coeff_shape), np.complex128)
+    m, w, hop = frame.num_channels, frame.window.size, frame.hop
     # Segment j is ext[j*hop : j*hop + w]; the tail wraps circularly.
     ext = np.concatenate((arr, arr[: w - hop]))
-    segs = np.lib.stride_tricks.sliding_window_view(ext, w)[::hop] * frame.tight_window
-    spectra = np.fft.rfft(segs, n=frame.num_channels, axis=1)
-    spectra *= frame.coeff_weight
-    return spectra.ravel()
+    segs = np.lib.stride_tricks.sliding_window_view(ext, w)[::hop] * frame._analysis_window
+    spectra = np.fft.rfft(segs, n=m, axis=1, out=out.reshape(frame.coeff_shape))
+    spectra[:, 0] *= 1.0 / math.sqrt(2.0)
+    if m % 2 == 0:
+        spectra[:, m // 2] *= 1.0 / math.sqrt(2.0)
+    return out
 
 
-def synthesize(frame: TfFrame, coeffs) -> np.ndarray:
+def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     """Adjoint of :func:`analyze`; inverse of it on tight frames.
 
-    Accepts the flat coefficient array or its ``coeff_shape`` view.
+    Accepts the flat coefficient array or its ``coeff_shape`` view.  With
+    ``out`` (a C-contiguous float64 array of ``signal_len`` samples) the
+    signal is written there and ``out`` is returned.
+
+    The ``irfft`` runs on the coefficients as they are, and the window
+    carries ``M / sqrt(2)``: the interior bins need exactly that (``M``
+    undoes the ``irfft`` scale, ``1/sqrt(2)`` their weight).  DC and the
+    Nyquist bin have weight 1, so they are short by a factor sqrt(2); the
+    ``irfft`` is linear, so the missing part of segment sample ``t``,
+    ``((sqrt(2) - 1) / M) * (Re c[j, 0] + (-1)^t Re c[j, M/2])``, is added
+    before windowing.  Odd ``M`` has no Nyquist term.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape not in ((frame.num_coeffs,), frame.coeff_shape):
         raise ValueError(
             f"expected {frame.num_coeffs} coefficients, got shape {c.shape}"
         )
-    m, hop = frame.num_channels, frame.hop
-    w = frame.window.size
-    scaled = c.reshape(frame.coeff_shape) * (m / frame.coeff_weight)
-    segs = np.fft.irfft(scaled, n=m, axis=1)[:, :w]
-    segs *= frame.tight_window
-    blocks = -(-w // hop)
-    if blocks * hop != w:
-        segs = np.pad(segs, ((0, 0), (0, blocks * hop - w)))
-    # Block q of frame j lands on hop-block (j + q) mod J of the output.
+    length = frame.signal_len
+    if out is None:
+        out = np.empty(length)
+    else:
+        _check_out(out, ((length,),), np.float64)
+    m, w, hop = frame.num_channels, frame.window.size, frame.hop
+    c = c.reshape(frame.coeff_shape)
+    segs = np.fft.irfft(c, n=m, axis=1)[:, :w]
+    excess = (math.sqrt(2.0) - 1.0) / m
+    dc = c[:, :1].real * excess
+    if m % 2 == 0:
+        nyquist = c[:, m // 2 :].real * excess
+        segs[:, 0::2] += dc + nyquist
+        segs[:, 1::2] += dc - nyquist
+    else:
+        segs += dc
+    segs *= frame._synthesis_window
+    # Block q of frame j lands on hop-block (j + q) mod J of the output; the
+    # last block of a window that is not a whole number of hops is narrower.
     frames = frame.num_frames
-    out = np.zeros((frames, hop))
-    for q in range(blocks):
+    blocks = out.reshape(frames, hop)
+    blocks[:] = segs[:, :hop]
+    for q in range(1, -(-w // hop)):
         part = segs[:, q * hop : (q + 1) * hop]
-        out[q:] += part[: frames - q]
-        out[:q] += part[frames - q :]
-    return out.ravel()
+        width = part.shape[1]
+        blocks[q:, :width] += part[: frames - q]
+        blocks[:q, :width] += part[frames - q :]
+    return out

@@ -23,6 +23,14 @@ The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
 which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
 l1 prox therefore clips each bin at ``lam * weight``.
 
+The dual-branch iteration keeps each dual divided by sigma, ``y = u /
+sigma``.  The conjugate prox of the l1 term is a clip, and a clip commutes
+with scaling, so ``y1`` is clipped at radius ``lam * weight / sigma``; a box
+dual becomes ``p - project(box, p)`` at ``p = y + K x``; and the primal
+gradient ``K^T u`` is ``sigma * (A^* y1 + (D_k B)^* y2 + y3)``, scaled once
+on the signal instead of on every coefficient.  The iterates are those of
+the unscaled form up to rounding.
+
 Step sizes: with a Parseval frame (norm 1), identity and a filter whose
 operator norm is at most the l1 norm of its taps, the stacked operator has
 squared norm at most 2 + l1^2, giving the sufficient condition
@@ -38,11 +46,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.signal import upfirdn
 
 from .acquisition import AcquisitionModel, sdr
 from .frames import TfFrame, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
-from .signals import FirFilter, Signal, samples_of, taps_spectrum
+from .signals import FirFilter, Signal, samples_of
 
 __all__ = [
     "SolverConfig",
@@ -155,28 +164,25 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
 
 
 class _DualBranchOperators:
-    """Cached fast path for the filtered/downsampled branch.
+    """The filtered/downsampled branch ``D_k B`` and its adjoint, polyphase.
 
     ``down_filter`` is ``D_k B`` with ``B`` the circular filter and ``D_k``
-    keeping every k-th sample, so its output has length ``M = L/k``.
-    Keeping every k-th sample folds the spectrum: with ``Z = H * X`` the
-    length-L DFT of the filtered signal, the length-M DFT of the output is
+    keeping every k-th sample, so its output has length ``M = L/k``;
+    ``up_filter_adjoint`` is ``B^T D_k^T``.  Both are k-fold polyphase FIR
+    filters (Crochiere & Rabiner 1983), computed by ``scipy.signal.upfirdn``
+    in O(L * taps / k) with no transform: only the outputs that are kept
+    are formed, and no zero-stuffed samples are multiplied.  The cost grows
+    linearly with the tap count, unlike an FFT form's O(L log L).
 
-        Y[g] = (1/k) * sum_{r=0}^{k-1} Z[g + r*M],    g = 0 .. M-1.
-
-    Only the ``L//2 + 1`` ``rfft`` bins of ``Z`` are computed; a bin above
-    L/2 is the conjugate of its mirror, ``Z[f] = conj(Z[L-f])``.  Let
-    ``F[g]`` sum the ``rfft`` bins ``f = g (mod M)``, with DC and the even-L
-    Nyquist bin halved because the mirror counts them twice; then
-    ``k * Y[g] = F[g] + conj(F[-g mod M])``.  One length-L ``rfft`` and one
-    length-M ``irfft`` per call.
-
-    ``up_filter_adjoint`` is ``B^T D_k^T``.  Zero-stuffing ``w`` repeats its
-    length-M DFT ``W`` k times, so the length-L spectrum of ``D_k^T w`` is
-    ``W[f mod M]``: the ``rfft`` of ``w`` is mirrored to all M bins
-    (``W[g] = conj(W[M-g])``), repeated cyclically up to ``L//2 + 1`` bins
-    and multiplied by ``conj(H)``.  One length-M ``rfft`` and one length-L
-    ``irfft`` per call; no length-L zero-stuffed buffer.
+    upfirdn convolves linearly, so each input goes into a circular history:
+    ``down_filter`` puts the last ``P`` samples of ``v`` (``P >= taps - 1``,
+    a multiple of k) before ``v`` and keeps outputs ``P/k .. P/k + M - 1``;
+    ``up_filter_adjoint`` correlates by convolving with the reversed taps,
+    puts the first ``Q = ceil(taps / k)`` samples of ``w`` after ``w`` and
+    keeps outputs ``taps - 1 .. taps + L - 2``.  Taps longer than L are
+    first folded onto the circle (tap t adds to tap t mod L), which is the
+    same circulant operator.  The histories are buffers of the instance, so
+    one instance serves one solve at a time.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -185,56 +191,49 @@ class _DualBranchOperators:
         self.factor = factor
         self.length = length
         self.short_len = length // factor
-        self._spectrum = taps_spectrum(fir.taps, length)
-        self._spectrum_conj = np.conj(self._spectrum)
-        # Bin -g mod M of the folded spectrum, for output bins g = 0 .. M//2.
-        self._mirror = -np.arange(self.short_len // 2 + 1) % self.short_len
+        taps = np.zeros(min(fir.taps.size, length))
+        np.add.at(taps, np.arange(fir.taps.size) % length, fir.taps)
+        self._taps = taps
+        self._taps_reversed = taps[::-1]
+        self._lead = -(-(taps.size - 1) // factor) * factor
+        self._down_history = np.empty(self._lead + length)
+        self._up_history = np.empty(self.short_len - (-taps.size // factor))
 
     def down_filter(self, v: np.ndarray) -> np.ndarray:
-        half = np.fft.rfft(v)
-        half *= self._spectrum
-        half[0] *= 0.5
-        if self.length % 2 == 0:
-            half[-1] *= 0.5
-        m = self.short_len
-        fold = np.zeros(m, dtype=np.complex128)
-        for start in range(0, half.size, m):
-            chunk = half[start : start + m]
-            fold[: chunk.size] += chunk
-        spectrum = fold[: m // 2 + 1] + np.conj(fold[self._mirror])
-        spectrum *= 1.0 / self.factor
-        return np.fft.irfft(spectrum, n=m)
+        lead, history = self._lead, self._down_history
+        history[:lead] = v[self.length - lead :]
+        history[lead:] = v
+        first = lead // self.factor
+        out = upfirdn(self._taps, history, 1, self.factor)
+        return out[first : first + self.short_len]
 
     def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
-        m = self.short_len
-        half = np.fft.rfft(w)
-        full = np.concatenate((half, np.conj(half[m - m // 2 - 1 : 0 : -1])))
-        spectrum = np.resize(full, self._spectrum.size)
-        spectrum *= self._spectrum_conj
-        return np.fft.irfft(spectrum, n=self.length)
+        m, history = self.short_len, self._up_history
+        history[:m] = w
+        history[m:] = w[: history.size - m]
+        first = self._taps.size - 1
+        out = upfirdn(self._taps_reversed, history, self.factor)
+        return out[first : first + self.length]
 
 
-def _box_dual_prox(p, box: ConsistencySet, sigma: float):
-    """``p - sigma * project(box, p / sigma)``, computed in ``p``.
-
-    The Moreau form of the dual prox of a box indicator at
-    ``p = u + sigma * K x``.
-    """
-    proj = project(box, p / sigma)
-    proj *= sigma
-    p -= proj
+def _box_dual_prox(p, box: ConsistencySet):
+    """``p - project(box, p)``, computed in ``p``: the dual prox of a box
+    indicator, divided by sigma, at ``p = y + K x`` (see the module
+    docstring for the scaling)."""
+    p -= project(box, p)
     return p
 
 
-def _relaxed(u, target, rho: float):
-    """``u + rho * (target - u)``, computed in place: ``target`` itself
-    when ``rho == 1``, else ``u`` (``target`` is overwritten)."""
+def _relax(y, target, rho: float):
+    """``y + rho * (target - y)``, formed in ``y``, with ``target`` used as
+    scratch.  Returns the pair (new dual, free buffer): with ``rho == 1``
+    the two buffers swap and nothing is computed."""
     if rho == 1.0:
-        return target
-    target -= u
+        return target, y
+    target -= y
     target *= rho
-    u += target
-    return u
+    y += target
+    return y, target
 
 
 def _rate_of(*candidates) -> int:
@@ -343,46 +342,59 @@ def cva_solve_sets(
 
 
 def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_set, cfg):
-    """Condat-Vu iteration from ``x``, which it updates in place."""
+    """Condat-Vu iteration from ``x``, which it updates in place.
+
+    The duals are kept divided by sigma (see the module docstring).  Every
+    coefficient array is allocated here, once per run, and updated in
+    place; with ``rho == 1`` the l1 dual and the analysis buffer swap
+    instead of being copied.
+    """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
-    # Every update is in place.  The analysis of the look-ahead point is the
-    # only complex array allocated per iteration: it becomes the u1 prox
-    # argument and, with rho == 1, u1 itself; ``scratch`` holds the ax step.
     shape = frame.coeff_shape
-    radius = cfg.lam * frame.coeff_weight
-    u1 = np.zeros(shape, dtype=np.complex128)
-    scratch = np.empty(shape, dtype=np.complex128)
-    u2 = np.zeros(ops.short_len)
-    u3 = np.zeros(ops.length)
-    lookahead = np.empty(ops.length)
+    radius = (cfg.lam / sigma) * frame.coeff_weight
+    y1 = np.zeros(shape, dtype=np.complex128)
+    y2 = np.zeros(ops.short_len)
+    y3 = np.zeros(ops.length)
+    # Analysis of the look-ahead point, then the l1 prox argument.
+    a = np.empty(shape, dtype=np.complex128)
     # Coefficients of the running iterate, updated through the same linear
     # combinations as the iterate itself; used for the objective trace.
-    ax = analyze(frame, x).reshape(shape)
+    ax = np.empty(shape, dtype=np.complex128)
+    grad = np.empty(ops.length)
+    lookahead = np.empty(ops.length)
+    p3 = np.empty(ops.length)
+    first = True
     while True:
-        grad = synthesize(frame, u1)
-        grad += ops.up_filter_adjoint(u2)
-        grad += u3
+        # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
+        synthesize(frame, y1, out=grad)
+        grad += ops.up_filter_adjoint(y2)
+        grad += y3
         # x_tilde = x - tau * grad is not formed: the look-ahead point is
         # 2 * x_tilde - x and the primal step is rho * (x_tilde - x).
-        np.multiply(grad, -2.0 * tau, out=lookahead)
+        np.multiply(grad, -2.0 * tau * sigma, out=lookahead)
         lookahead += x
-        step = np.multiply(grad, -rho * tau, out=grad)
+        step = np.multiply(grad, -rho * tau * sigma, out=grad)
 
-        a_look = analyze(frame, lookahead).reshape(shape)
-        # x moves by (rho/2) * (lookahead - x), and so does A x.
-        np.subtract(a_look, ax, out=scratch)
-        scratch *= 0.5 * rho
-        ax += scratch
-        a_look *= sigma
-        a_look += u1
-        u1 = _relaxed(u1, clip_complex(a_look, radius, out=a_look), rho)
+        analyze(frame, lookahead, out=a)
+        # x moves by (rho/2) * (lookahead - x), and so does A x, formed in
+        # place as (rho/2) * ((2 - rho)/rho * A x + a).  The duals start at
+        # zero, so the first look-ahead point is x itself and a is A x.
+        if first:
+            ax[...] = a
+            first = False
+        else:
+            if rho != 1.0:
+                ax *= (2.0 - rho) / rho
+            ax += a
+            ax *= 0.5 * rho
+        a += y1
+        clip_complex(a, radius, out=a)
+        y1, a = _relax(y1, a, rho)
         p2 = ops.down_filter(lookahead)
-        p2 *= sigma
-        p2 += u2
-        u2 = _relaxed(u2, _box_dual_prox(p2, fine_set, sigma), rho)
-        p3 = np.multiply(lookahead, sigma)
-        p3 += u3
-        u3 = _relaxed(u3, _box_dual_prox(p3, coarse_set, sigma), rho)
+        p2 += y2
+        y2, _ = _relax(y2, _box_dual_prox(p2, fine_set), rho)
+        np.add(lookahead, y3, out=p3)
+        y3, p3 = _relax(y3, _box_dual_prox(p3, coarse_set), rho)
 
         x += step
         yield x, _weighted_l1(ax, frame)

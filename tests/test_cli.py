@@ -103,6 +103,27 @@ class TestSimulate(object):
         assert err.startswith("error:") and "factor k" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--frame-window", "0", "window length must be >= 1"),
+            ("--frame-window", "4096", "exceeds channel count"),
+            ("--iters", "0", "max_iters must be >= 1"),
+            ("--rho", "3", "rho must lie strictly inside"),
+            ("--lam", "-1", "lam must be positive"),
+        ],
+    )
+    def test_settings_reconstruct_would_reject(self, workspace, capsys, flag, value, message):
+        tmp_path, wav = workspace
+        capsys.readouterr()
+        outdir = tmp_path / "o"
+        rc = main(["simulate", str(wav), "--outdir", str(outdir), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (outdir / "manifest.json").exists()
+
 
 class TestReconstruct:
     def test_bitwise_reproducible(self, workspace):

@@ -81,6 +81,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"rho": 3}, "rho must lie strictly inside"),
+            ({"max_iters": 0}, "max_iters must be >= 1"),
+            ({"lam": -0.5}, "config: lam must be positive"),
+            ({"lambda_table": {"10,16": -1}}, "lambda_table entry '10,16': lam must be positive"),
+        ],
+    )
+    def test_solver_values_checked_by_solver_config(self, tmp_path, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_file(path)
+
     def test_empty_bit_lists_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(coarse_bits=[])

@@ -108,6 +108,42 @@ class TestAnalyzeSynthesize:
                 rhs = np.dot(x, synthesize(fr, c))
                 assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
 
+    @pytest.mark.parametrize("shape", ["flat", "2-D"])
+    def test_out_matches_result_without_out(self, frame, shape):
+        rng = np.random.default_rng(7)
+        for fr in (frame, ODD_FRAME):
+            x = rng.standard_normal(fr.signal_len)
+            c = analyze(fr, x) + 1e-3j * rng.standard_normal(fr.num_coeffs)
+            size = fr.num_coeffs if shape == "flat" else fr.coeff_shape
+            out = np.full(size, np.nan, dtype=complex)
+            assert analyze(fr, x, out=out) is out
+            np.testing.assert_allclose(out.ravel(), analyze(fr, x), rtol=0, atol=1e-12)
+            sig = np.full(fr.signal_len, np.nan)
+            assert synthesize(fr, c.reshape(size), out=sig) is sig
+            np.testing.assert_allclose(sig, synthesize(fr, c), rtol=0, atol=1e-12)
+
+    def test_out_of_wrong_shape_or_dtype_rejected(self, frame):
+        x = np.zeros(frame.signal_len)
+        c = np.zeros(frame.num_coeffs, complex)
+        for bad in (
+            np.empty(frame.num_coeffs - 1, complex),
+            np.empty(frame.num_coeffs, np.float64),
+            np.empty(frame.num_coeffs, np.complex64),
+            np.empty((frame.num_frames, frame.num_channels), complex),
+            np.empty(frame.coeff_shape[::-1], complex).T,  # not C-contiguous
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                analyze(frame, x, out=bad)
+        for bad in (
+            np.empty(frame.signal_len + 1),
+            np.empty(frame.signal_len, complex),
+            np.empty(frame.signal_len, np.float32),
+            np.empty((frame.num_frames, frame.hop)),
+            np.empty(2 * frame.signal_len)[::2],
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                synthesize(frame, c, out=bad)
+
     def test_linearity(self, frame):
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(256), rng.standard_normal(256)

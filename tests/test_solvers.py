@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dualquant import (
     simulate_acquisition,
     upsample_adjoint,
 )
-from dualquant.solvers import _DualBranchOperators
+from dualquant.solvers import _DualBranchOperators, _cva_steps
 
 L = 4
 IDENTITY_FRAME = make_tight_frame(1, 1, 1, L)
@@ -127,6 +128,43 @@ class TestDualBranchOperators:
                     np.dot(ops.down_filter(x), w) - np.dot(x, ops.up_filter_adjoint(w))
                 ) / scale
                 assert err < 1e-10
+
+
+class TestCvaStepAllocation:
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    def test_steps_allocate_at_most_two_coefficient_arrays(self, rho):
+        # Every coefficient array of the iteration is allocated once per run;
+        # a step may still hold transients inside the transforms and the
+        # clip, but no more than two arrays' worth at a time.
+        from dualquant import consistency_set
+        from dualquant.experiment import synth_corpus
+
+        length = 32768
+        frame = make_tight_frame(2048, 512, 2048, length)
+        fir = design_lowpass(4)
+        model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+        (_, x), = synth_corpus(1, 5, length / 16000, 16000)
+        y1, y2 = simulate_acquisition(x, model)
+        cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
+        steps = _cva_steps(
+            y2.samples.copy(),
+            _DualBranchOperators(length, fir, 4),
+            frame,
+            consistency_set(y1.samples, model.fine),
+            consistency_set(y2.samples, model.coarse),
+            cfg,
+        )
+        next(steps)
+        next(steps)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
+        assert peak <= 2 * coeff_bytes
 
 
 class TestDefaultSteps:

@@ -1,8 +1,10 @@
-"""Every trace site of the benchmark names a callable in ``src/dualquant``.
+"""Every trace site of the benchmark names a callable in ``src/dualquant``,
+and a dual-branch solve reaches every site of its iteration split.
 
 The traced benchmark wraps functions at the names listed in
 ``bench/dqbench/layers.py::SITES``; a hot-path function renamed in the
-library would otherwise surface only as a failed traced run.
+library, or one the solver stops calling through that name, would otherwise
+surface only as a failed traced run.
 """
 
 import importlib
@@ -11,11 +13,23 @@ from pathlib import Path
 
 import pytest
 
+from dualquant import (
+    AcquisitionModel,
+    Quantizer,
+    SolverConfig,
+    cva_solve,
+    default_steps,
+    design_lowpass,
+    make_tight_frame,
+    simulate_acquisition,
+)
+from dualquant.experiment import synth_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
-from dqbench.layers import SITES  # noqa: E402
+from dqbench.layers import CVA_CHILDREN, SITES  # noqa: E402
 
 
 @pytest.mark.parametrize("where", sorted({site for site, _, _ in SITES}))
@@ -28,3 +42,38 @@ def test_trace_site_resolves(where):
         assert hasattr(owner, part), f"{where}: no attribute {part!r}"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _owner_and_name(where):
+    module_name, _, path = where.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, name = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, name
+
+
+def test_one_iteration_cva_solve_reaches_every_split_site(monkeypatch):
+    calls = dict.fromkeys(CVA_CHILDREN, 0)
+    for where, name, _ in SITES:
+        if name not in calls:
+            continue
+        owner, attr = _owner_and_name(where)
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    length = 4096
+    (_, x), = synth_corpus(1, 3, length / 16000, 16000)
+    fir = design_lowpass(4, 33)
+    model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+    y1, y2 = simulate_acquisition(x, model)
+    frame = make_tight_frame(512, 128, 512, length)
+    cfg = SolverConfig(*default_steps(fir), max_iters=1)
+    cva_solve(y1, y2, model, frame, cfg, reference=x)
+    assert [name for name, n in calls.items() if n == 0] == []
+    assert calls["frames.analyze"] == 1
