@@ -43,6 +43,9 @@ from .signals import samples_of
 __all__ = ["TfFrame", "make_tight_frame", "analyze", "synthesize", "hann_window"]
 
 _TIGHT_TOL = 1e-10
+# Samples per block of frames that :func:`synthesize` runs through one
+# ``irfft`` (32 frames at 2048 channels): its only scratch array.
+_SYNTHESIS_SAMPLES = 1 << 16
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -206,7 +209,10 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     Nyquist bin have weight 1, so they are short by a factor sqrt(2); the
     ``irfft`` is linear, so the missing part of segment sample ``t``,
     ``((sqrt(2) - 1) / M) * (Re c[j, 0] + (-1)^t Re c[j, M/2])``, is added
-    before windowing.  Odd ``M`` has no Nyquist term.
+    before windowing.  Odd ``M`` has no Nyquist term.  The frames go
+    through the ``irfft`` in blocks of about ``_SYNTHESIS_SAMPLES``
+    samples, into one scratch array per call, and each block is added
+    into the output as it is done.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape not in ((frame.num_coeffs,), frame.coeff_shape):
@@ -220,24 +226,31 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
         _check_out(out, ((length,),), np.float64)
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
     c = c.reshape(frame.coeff_shape)
-    segs = np.fft.irfft(c, n=m, axis=1)[:, :w]
+    frames = frame.num_frames
+    rows = min(max(1, _SYNTHESIS_SAMPLES // m), frames)
+    scratch = np.empty((rows, m))
     excess = (math.sqrt(2.0) - 1.0) / m
-    dc = c[:, :1].real * excess
-    if m % 2 == 0:
-        nyquist = c[:, m // 2 :].real * excess
-        segs[:, 0::2] += dc + nyquist
-        segs[:, 1::2] += dc - nyquist
-    else:
-        segs += dc
-    segs *= frame._synthesis_window
     # Block q of frame j lands on hop-block (j + q) mod J of the output; the
     # last block of a window that is not a whole number of hops is narrower.
-    frames = frame.num_frames
     blocks = out.reshape(frames, hop)
-    blocks[:] = segs[:, :hop]
-    for q in range(1, -(-w // hop)):
-        part = segs[:, q * hop : (q + 1) * hop]
-        width = part.shape[1]
-        blocks[q:, :width] += part[: frames - q]
-        blocks[:q, :width] += part[frames - q :]
+    blocks[:] = 0.0
+    for j0 in range(0, frames, rows):
+        j1 = min(j0 + rows, frames)
+        segs = np.fft.irfft(c[j0:j1], n=m, axis=1, out=scratch[: j1 - j0])[:, :w]
+        dc = c[j0:j1, :1].real * excess
+        if m % 2 == 0:
+            nyquist = c[j0:j1, m // 2 :].real * excess
+            segs[:, 0::2] += dc + nyquist
+            segs[:, 1::2] += dc - nyquist
+        else:
+            segs += dc
+        segs *= frame._synthesis_window
+        for q in range(-(-w // hop)):
+            part = segs[:, q * hop : (q + 1) * hop]
+            width = part.shape[1]
+            # frame j lands on block j + q, or past the end on j + q - J
+            inside = max(0, min(j1 + q, frames) - (j0 + q))
+            blocks[j0 + q : j0 + q + inside, :width] += part[:inside]
+            wrap = max(0, j0 + q - frames)
+            blocks[wrap : wrap + j1 - j0 - inside, :width] += part[inside:]
     return out

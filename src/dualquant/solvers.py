@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import upfirdn
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .acquisition import AcquisitionModel, sdr
 from .frames import TfFrame, analyze, synthesize
@@ -163,57 +163,157 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
     return step, step
 
 
+# Samples per chunk of blocks in the filter pair (32 blocks at the default
+# 129 taps).
+_CHUNK_SAMPLES = 32 * 1024
+
+
+def _fill_circular(dest: np.ndarray, v: np.ndarray, start: int) -> None:
+    """``dest[i] = v[(start + i) mod v.size]`` for every ``i``, by slicing."""
+    pos, i = start % v.size, 0
+    while i < dest.size:
+        piece = v[pos : pos + dest.size - i]
+        dest[i : i + piece.size] = piece
+        i += piece.size
+        pos = 0
+
+
 class _DualBranchOperators:
-    """The filtered/downsampled branch ``D_k B`` and its adjoint, polyphase.
+    """The filtered/downsampled branch ``D_k B`` and its adjoint, as block FFTs.
 
     ``down_filter`` is ``D_k B`` with ``B`` the circular filter and ``D_k``
     keeping every k-th sample, so its output has length ``M = L/k``;
-    ``up_filter_adjoint`` is ``B^T D_k^T``.  Both are k-fold polyphase FIR
-    filters (Crochiere & Rabiner 1983), computed by ``scipy.signal.upfirdn``
-    in O(L * taps / k) with no transform: only the outputs that are kept
-    are formed, and no zero-stuffed samples are multiplied.  The cost grows
-    linearly with the tap count, unlike an FFT form's O(L log L).
+    ``up_filter_adjoint`` is ``B^T D_k^T``.  Taps longer than L are first
+    folded onto the circle (tap t adds to tap t mod L), which is the same
+    circulant operator; ``T`` is the folded tap count.
 
-    upfirdn convolves linearly, so each input goes into a circular history:
-    ``down_filter`` puts the last ``P`` samples of ``v`` (``P >= taps - 1``,
-    a multiple of k) before ``v`` and keeps outputs ``P/k .. P/k + M - 1``;
-    ``up_filter_adjoint`` correlates by convolving with the reversed taps,
-    puts the first ``Q = ceil(taps / k)`` samples of ``w`` after ``w`` and
-    keeps outputs ``taps - 1 .. taps + L - 2``.  Taps longer than L are
-    first folded onto the circle (tap t adds to tap t mod L), which is the
-    same circulant operator.  The histories are buffers of the instance, so
-    one instance serves one solve at a time.
+    Both are block convolutions with FFTs of ``N`` points, overlap-save and
+    overlap-add (Oppenheim & Schafer, *Discrete-Time Signal Processing*).
+    ``P`` is ``T - 1`` rounded up to a multiple of k, and ``N`` is k times
+    the smallest power of two for which ``N >= 4 * (P + k)``: one rule for
+    every tap count, so the cost follows the tap count and not L or how L
+    factors (``N = 1024`` at k = 4 and the default 129 taps).  A block has
+    ``Q = (N - 1 - P) // k + 1`` outputs of ``down_filter`` (inputs of the
+    adjoint), and block b starts ``b * k * Q`` samples into the signal.
+
+    ``down_filter`` (overlap-save): the signal is laid out circularly with
+    its last ``P`` samples in front.  Each N-sample block is one ``rfft``
+    and a product with the N-point taps spectrum; its samples ``P, P + k,
+    ..`` are valid, and they are the kept outputs.  Keeping every k-th
+    sample folds the spectrum onto ``N/k`` bins (bin g gathers bins ``g +
+    r N/k``; those above ``N/2`` are the conjugates of their mirrors), so
+    the ``irfft`` runs at ``N/k`` points and forms every k-th sample only
+    (the polyphase view of decimation, Crochiere & Rabiner 1983).
+
+    ``up_filter_adjoint`` (overlap-add): each block of Q inputs, zero-stuffed
+    to N samples, is convolved with the reversed taps, which fits without
+    wrap since ``k * (Q - 1) + T <= N``.  The spectrum of the stuffed block
+    is the ``N/k``-point spectrum of the inputs repeated k times, so the
+    ``rfft`` runs at ``N/k`` points and no stuffed block is formed.  Block
+    outputs are added, ``k * Q`` samples apart, into a line that starts
+    ``T - 1`` samples before the signal; its first ``T - 1`` samples wrap
+    onto the end of the circle.
+
+    The transforms run over chunks of about ``_CHUNK_SAMPLES`` samples into
+    spectra and time blocks the instance holds, so a call's transients do
+    not grow with L or with the tap count; the circular history and the
+    zero-padded inputs are held too, so one instance serves one solve at a
+    time.  Each call returns a fresh array (a view of one), because with
+    ``rho == 1`` the solver keeps the ``down_filter`` output as its
+    fine-branch dual.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
         if length % factor:
             raise ValueError(f"signal length {length} is not divisible by factor {factor}")
-        self.factor = factor
+        k = self.factor = factor
         self.length = length
         self.short_len = length // factor
         taps = np.zeros(min(fir.taps.size, length))
         np.add.at(taps, np.arange(fir.taps.size) % length, fir.taps)
-        self._taps = taps
-        self._taps_reversed = taps[::-1]
-        self._lead = -(-(taps.size - 1) // factor) * factor
-        self._down_history = np.empty(self._lead + length)
-        self._up_history = np.empty(self.short_len - (-taps.size // factor))
+        self._shift = taps.size - 1
+        self._lead = -(-(taps.size - 1) // k) * k
+        short = self._short = 1 << (-(-4 * (self._lead + k) // k) - 1).bit_length()
+        n = self._size = k * short
+        self._per_block = (n - 1 - self._lead) // k + 1
+        self._stride = k * self._per_block
+        self._blocks = -(-self.short_len // self._per_block)
+        rows = self._chunk = min(max(1, _CHUNK_SAMPLES // n), self._blocks)
+        # the 1/k of the spectral fold rides on the taps spectrum
+        self._spectrum = np.fft.rfft(taps, n) / k
+        self._spectrum_reversed = np.fft.rfft(taps[::-1], n)
+        self._history = np.empty((self._blocks - 1) * self._stride + n)
+        self._windows = sliding_window_view(self._history, n)[:: self._stride]
+        self._inputs = np.zeros((self._blocks, self._per_block))
+        self._padded = np.zeros((rows, short))
+        self._spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+        self._half = np.empty((rows, short // 2 + 1), dtype=np.complex128)
+        self._full = np.empty((rows, short), dtype=np.complex128)
+        self._time = np.empty((rows, n))
+        self._short_time = np.empty((rows, short))
+
+    def _chunks(self):
+        for b0 in range(0, self._blocks, self._chunk):
+            yield b0, min(b0 + self._chunk, self._blocks)
 
     def down_filter(self, v: np.ndarray) -> np.ndarray:
-        lead, history = self._lead, self._down_history
-        history[:lead] = v[self.length - lead :]
-        history[lead:] = v
-        first = lead // self.factor
-        out = upfirdn(self._taps, history, 1, self.factor)
-        return out[first : first + self.short_len]
+        k, lead, per_block = self.factor, self._lead, self._per_block
+        short = self._short
+        half = short // 2
+        _fill_circular(self._history, v, -lead)
+        out = np.empty((self._blocks, per_block))
+        for b0, b1 in self._chunks():
+            rows = b1 - b0
+            spec = np.fft.rfft(self._windows[b0:b1], axis=1, out=self._spec[:rows])
+            spec *= self._spectrum
+            # bin g of the fold gathers bins g + r * short for r < k/2, and
+            # the conjugates of bins s * short - g for 1 <= s <= k/2
+            fold, mirror = self._half[:rows], self._full[:rows, : half + 1]
+            fold[:] = spec[:, : half + 1]
+            for r in range(1, (k + 1) // 2):
+                fold += spec[:, r * short : r * short + half + 1]
+            for s in range(1, k // 2 + 1):
+                np.conj(spec[:, s * short - half : s * short + 1][:, ::-1], out=mirror)
+                fold += mirror
+            time = np.fft.irfft(fold, short, axis=1, out=self._short_time[:rows])
+            out[b0:b1] = time[:, lead // k : lead // k + per_block]
+        return out.reshape(-1)[: self.short_len]
 
     def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
-        m, history = self.short_len, self._up_history
-        history[:m] = w
-        history[m:] = w[: history.size - m]
-        first = self._taps.size - 1
-        out = upfirdn(self._taps_reversed, history, self.factor)
-        return out[first : first + self.length]
+        stride, blocks, n, short = self._stride, self._blocks, self._size, self._short
+        half = short // 2
+        self._inputs.reshape(-1)[: self.short_len] = w
+        parts = -(-n // stride)
+        line = np.empty((blocks + parts) * stride)
+        spans = line.reshape(-1, stride)
+        spans[blocks:] = 0.0
+        # Last chunk first, so that each block's first part can be assigned:
+        # every block after it has already added its later parts.
+        for b0, b1 in reversed(list(self._chunks())):
+            rows = b1 - b0
+            padded, full = self._padded[:rows], self._full[:rows]
+            padded[:, : self._per_block] = self._inputs[b0:b1]
+            spectrum = np.fft.rfft(padded, axis=1, out=self._half[:rows])
+            full[:, : half + 1] = spectrum
+            np.conj(spectrum[:, half - 1 : 0 : -1], out=full[:, half + 1 :])
+            spec = self._spec[:rows]
+            for r in range(0, n // 2 + 1, short):
+                width = min(short, n // 2 + 1 - r)
+                np.multiply(
+                    full[:, :width], self._spectrum_reversed[r : r + width],
+                    out=spec[:, r : r + width],
+                )
+            time = np.fft.irfft(spec, n, axis=1, out=self._time[:rows])
+            spans[b0:b1] = time[:, :stride]
+            for p in range(1, parts):
+                piece = time[:, p * stride : (p + 1) * stride]
+                spans[b0 + p : b1 + p, : piece.shape[1]] += piece
+        # line[i] is sample i - (T - 1), and no block reaches sample L, so
+        # only the first T - 1 entries wrap round the circle.
+        shift = self._shift
+        out = line[shift : shift + self.length]
+        out[self.length - shift :] += line[:shift]
+        return out
 
 
 def _box_dual_prox(p, box: ConsistencySet):
@@ -437,18 +537,30 @@ def cpa_solve_box(
 
 
 def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
-    """Chambolle-Pock iteration from ``x``; every iterate is a new array."""
+    """Chambolle-Pock iteration from ``x``.
+
+    The dual, the analysis buffer, the primal step and the look-ahead point
+    are allocated once per run; each iterate is the new array the box
+    projection returns.
+    """
     tau, sigma = cfg.tau, cfg.sigma
     shape = frame.coeff_shape
     radius = cfg.lam * frame.coeff_weight
     u = np.zeros(shape, dtype=np.complex128)
-    x_bar = x
+    a = np.empty(shape, dtype=np.complex128)
+    x_bar = x.copy()
+    step = np.empty_like(x)
     while True:
-        step = analyze(frame, x_bar).reshape(shape)
-        step *= sigma
-        step += u
-        clip_complex(step, radius, out=u)
-        x_next = project(box, x - tau * synthesize(frame, u))
-        x_bar = 2.0 * x_next - x
+        analyze(frame, x_bar, out=a)
+        a *= sigma
+        a += u
+        clip_complex(a, radius, out=u)
+        # x_next = project(box, x - tau * A^* u); x_bar = 2 * x_next - x
+        synthesize(frame, u, out=step)
+        step *= -tau
+        step += x
+        x_next = project(box, step)
+        np.multiply(x_next, 2.0, out=x_bar)
+        x_bar -= x
         x = x_next
-        yield x, _weighted_l1(analyze(frame, x), frame)
+        yield x, _weighted_l1(analyze(frame, x, out=a), frame)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualquant import Signal, analyze, hann_window, make_tight_frame, synthesize
+from dualquant import frames
 from dualquant.frames import TfFrame
 
 # Odd channel count (no Nyquist bin), and a window that is not a whole
@@ -121,6 +122,24 @@ class TestAnalyzeSynthesize:
             sig = np.full(fr.signal_len, np.nan)
             assert synthesize(fr, c.reshape(size), out=sig) is sig
             np.testing.assert_allclose(sig, synthesize(fr, c), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_synthesis_in_blocks_of_frames(self, frame, rows, monkeypatch):
+        # synthesize runs the irfft over blocks of frames; blocks of 1, 3
+        # and 5 frames (a last block shorter than the others, windows that
+        # wrap across a block boundary and the end of the signal) give the
+        # one-block result and stay the adjoint of analysis
+        rng = np.random.default_rng(rows)
+        for fr in (frame, ODD_FRAME):
+            c = rng.standard_normal(fr.num_coeffs) + 1j * rng.standard_normal(fr.num_coeffs)
+            x = rng.standard_normal(fr.signal_len)
+            whole = synthesize(fr, c)
+            monkeypatch.setattr(frames, "_SYNTHESIS_SAMPLES", rows * fr.num_channels)
+            np.testing.assert_allclose(synthesize(fr, c), whole, rtol=0, atol=1e-12)
+            lhs = np.real(np.sum(analyze(fr, x) * np.conj(c)))
+            rhs = np.dot(x, synthesize(fr, c))
+            assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
+            monkeypatch.undo()
 
     def test_out_of_wrong_shape_or_dtype_rejected(self, frame):
         x = np.zeros(frame.signal_len)

@@ -82,6 +82,26 @@ class TestClipComplex:
 # L at 27), k = 1 (no fold) and k = L/k.
 FOLD_SHAPES = [(27, 3), (45, 5), (60, 4), (63, 7), (64, 1), (30, 2)]
 FOLD_FIR = FirFilter(np.random.default_rng(7).standard_normal(33))
+# (L, k, taps) at the block boundaries of the block-FFT pair (N = 1024 at
+# k = 4 and 129 taps, 768 at k = 3, 8192 at 1025 taps): a short last block
+# (L/k = 750 and 7000 are not multiples of the 224 and 213 outputs per
+# block), more than one chunk of blocks (49152), N longer than L (1025 taps
+# at 4096) and taps longer than L, folded onto the circle (1025 at 512).
+BLOCK_SHAPES = [
+    (3000, 4, 129), (21000, 3, 129), (49152, 4, 129), (4096, 4, 1025), (512, 4, 1025)
+]
+
+
+def random_fir(taps):
+    return FirFilter(np.random.default_rng(taps).standard_normal(taps) / np.sqrt(taps))
+
+
+OPERATOR_CASES = [
+    pytest.param(length, k, FOLD_FIR, id=f"{length}-{k}") for length, k in FOLD_SHAPES
+] + [
+    pytest.param(length, k, random_fir(taps), id=f"{length}-{k}-{taps}taps")
+    for length, k, taps in BLOCK_SHAPES
+]
 
 
 def fold_ops(length, k, fir=FOLD_FIR):
@@ -89,34 +109,44 @@ def fold_ops(length, k, fir=FOLD_FIR):
 
 
 class TestDualBranchOperators:
-    @pytest.mark.parametrize("length, k", FOLD_SHAPES)
-    def test_down_filter_matches_filter_then_downsample(self, length, k):
+    @pytest.mark.parametrize("length, k, fir", OPERATOR_CASES)
+    def test_down_filter_matches_filter_then_downsample(self, length, k, fir):
         rng = np.random.default_rng(length * 10 + k)
-        ops = fold_ops(length, k)
+        ops = fold_ops(length, k, fir)
         for _ in range(10):
             x = rng.standard_normal(length)
-            want = downsample(apply_filter(x, FOLD_FIR), Downsampler(k))
+            want = downsample(apply_filter(x, fir), Downsampler(k))
             got = ops.down_filter(x)
             assert got.shape == (length // k,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("length, k", FOLD_SHAPES)
-    def test_up_filter_adjoint_matches_upsample_then_correlate(self, length, k):
+    @pytest.mark.parametrize("length, k, fir", OPERATOR_CASES)
+    def test_up_filter_adjoint_matches_upsample_then_correlate(self, length, k, fir):
         rng = np.random.default_rng(length * 10 + k)
-        ops = fold_ops(length, k)
+        ops = fold_ops(length, k, fir)
         for _ in range(10):
             w = rng.standard_normal(length // k)
-            want = apply_filter_adjoint(upsample_adjoint(w, Downsampler(k), length), FOLD_FIR)
+            want = apply_filter_adjoint(upsample_adjoint(w, Downsampler(k), length), fir)
             got = ops.up_filter_adjoint(w)
             assert got.shape == (length,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_down_filter_output_is_fresh(self):
+        # with rho == 1 the solver keeps the output as its fine-branch dual
+        ops = fold_ops(3000, 4, random_fir(129))
+        rng = np.random.default_rng(3)
+        first = ops.down_filter(rng.standard_normal(3000))
+        kept = first.copy()
+        ops.down_filter(rng.standard_normal(3000))
+        np.testing.assert_array_equal(first, kept)
+
     def test_filter_pair_adjoint(self):
         # the solver's own D_k B and its adjoint, criterion-1 style, on the
-        # fold shapes and on the design filter at lengths 64 and 256
+        # fold and block shapes and on the design filter at lengths 64 and 256
         rng = np.random.default_rng(2025)
         lowpass = design_lowpass(4, 33, 8.0)
         cases = [(length, k, FOLD_FIR) for length, k in FOLD_SHAPES]
+        cases += [(length, k, random_fir(taps)) for length, k, taps in BLOCK_SHAPES]
         cases += [(length, 4, lowpass) for length in (64, 256)]
         for length, k, fir in cases:
             ops = fold_ops(length, k, fir)
@@ -128,6 +158,28 @@ class TestDualBranchOperators:
                     np.dot(ops.down_filter(x), w) - np.dot(x, ops.up_filter_adjoint(w))
                 ) / scale
                 assert err < 1e-10
+
+    @pytest.mark.parametrize("taps", [129, 1025])
+    def test_call_transients_bounded(self, taps):
+        # One call of either direction at the hires-cva length holds no more
+        # than its output plus a fixed bound: no index array, whole-signal
+        # spectrum or length-L scratch per call.
+        length, k = 288768, 4
+        rng = np.random.default_rng(taps)
+        ops = fold_ops(length, k, design_lowpass(k, taps))
+        calls = [
+            (ops.down_filter, rng.standard_normal(length), length // k),
+            (ops.up_filter_adjoint, rng.standard_normal(length // k), length),
+        ]
+        for call, arg, out_len in calls:
+            call(arg)
+            tracemalloc.start()
+            try:
+                call(arg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= out_len * 8 + 512 * 1024
 
 
 class TestCvaStepAllocation:
