@@ -12,9 +12,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .experiment import (
     _TEXT,
     ExperimentConfig,
     _check_type,
+    _write_csv,
     build_filter,
     padded_length,
     read_manifest,
@@ -58,15 +59,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         help="l1 weight; default is half the coarse quantization step",
     )
     p.add_argument("--iters", type=int, default=200)
-
-
-def _write_trace(path, run: SolverRun) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "sdr"])
-        for i, obj in enumerate(run.objective_trace):
-            s = "" if run.sdr_trace is None else repr(float(run.sdr_trace[i]))
-            writer.writerow([i + 1, repr(float(obj)), s])
 
 
 def cmd_synth(args) -> int:
@@ -133,23 +125,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# Keys a run manifest must hold, and the keys required inside each section.
-_MANIFEST_KEYS = {
-    "k": (),
-    "coarse_bits": (),
-    "fine_bits": (),
-    "filter": ("num_taps", "beta", "sha256"),
-    "frame": ("window_len", "hop", "num_channels"),
-    "sample_rate_hz": (),
-    "original_len": (),
-    "padded_len": (),
-    "normalization_scale": (),
-    "solver": ("tau", "sigma"),
-    "files": ("y1", "y2"),
-}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
-# Value type of each typed manifest key, dotted for section members; a
-# section member that is absent (an optional solver key) is not checked.
+# Value type of each manifest key, dotted for section members; the solver
+# keys are the SolverConfig fields.  Every key is required but the solver
+# settings that SolverConfig has a default for.
 _MANIFEST_TYPES = {
     "k": _INT,
     "coarse_bits": _INT,
@@ -172,28 +150,45 @@ _MANIFEST_TYPES = {
     "files.y1": _TEXT,
     "files.y2": _TEXT,
 }
+_OPTIONAL_KEYS = {
+    f"solver.{f.name}"
+    for f in dataclasses.fields(SolverConfig)
+    if f.default is not dataclasses.MISSING
+}
 
 
 def _check_manifest(manifest, path) -> None:
-    """Raise ``ValueError`` naming the first missing, unknown or mistyped key."""
+    """Raise ``ValueError`` naming the first missing, unknown, mistyped or out-of-range key."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
-    for key, inner in _MANIFEST_KEYS.items():
-        if key not in manifest:
-            raise ValueError(f"{path}: manifest lacks key {key!r}")
-        if inner and not isinstance(manifest[key], dict):
-            raise ValueError(f"{path}: manifest key {key!r} is not an object")
-        for name in inner:
-            if name not in manifest[key]:
-                raise ValueError(f"{path}: manifest lacks key '{key}.{name}'")
-    unknown = sorted(set(manifest["solver"]) - _SOLVER_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
     for dotted, types in _MANIFEST_TYPES.items():
         section, _, name = dotted.rpartition(".")
-        holder = manifest[section] if section else manifest
+        holder = manifest
+        if section:
+            if section not in manifest:
+                raise ValueError(f"{path}: manifest lacks key {section!r}")
+            holder = manifest[section]
+            if not isinstance(holder, dict):
+                raise ValueError(f"{path}: manifest key {section!r} is not an object")
         if name in holder:
-            _check_type(f"{path}: manifest key '{dotted}'", holder[name], types)
+            _check_type(f"{path}: manifest key {dotted!r}", holder[name], types)
+        elif dotted not in _OPTIONAL_KEYS:
+            raise ValueError(f"{path}: manifest lacks key {dotted!r}")
+    unknown = sorted(n for n in manifest["solver"] if f"solver.{n}" not in _MANIFEST_TYPES)
+    if unknown:
+        raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
+    # reconstruct and baseline crop the estimate to original_len samples
+    # and divide it by the scale: a bad value would give a wrong file
+    if not 1 <= manifest["original_len"] <= manifest["padded_len"]:
+        raise ValueError(
+            f"{path}: manifest key 'original_len' must lie in [1, padded_len = "
+            f"{manifest['padded_len']}], got {manifest['original_len']}"
+        )
+    if manifest["normalization_scale"] <= 0:
+        raise ValueError(
+            f"{path}: manifest key 'normalization_scale' must be positive, "
+            f"got {manifest['normalization_scale']}"
+        )
 
 
 def _load_run_inputs(args):
@@ -253,7 +248,8 @@ def _write_run_outputs(args, manifest, base, run: SolverRun, suffix: str) -> int
     estimate = run.estimate.samples[: manifest["original_len"]]
     estimate = estimate / manifest["normalization_scale"]
     save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=64)
-    _write_trace(trace, run)
+    sdrs = repeat(None) if run.sdr_trace is None else run.sdr_trace
+    _write_csv(trace, ["iteration", "objective", "sdr"], zip(count(1), run.objective_trace, sdrs))
     print(out)
     return 0
 

@@ -94,19 +94,6 @@ _CONFIG_TYPES = {
 _CONFIG_LISTS = {"signals", "coarse_bits", "fine_bits"}
 
 
-RESULT_COLUMNS = [
-    "signal_id",
-    "coarse_bits",
-    "fine_bits",
-    "k",
-    "sdr_y2",
-    "sdr_cpa",
-    "sdr_cva",
-    "best_iter",
-    "wall_time_s",
-]
-
-
 @dataclass
 class ExperimentConfig:
     """Grid experiment settings; mirrors the JSON config file key-for-key."""
@@ -162,8 +149,11 @@ class ExperimentConfig:
             raise ValueError("no input signals: supply paths or synth_count >= 1")
         lams = [("config", 1.0 if self.lam is None else self.lam)]
         for key, value in self.lambda_table.items():
+            # lambda_for looks cells up by this exact spelling, so "10, 20"
+            # or "010,20" would match none
             parts = key.split(",") if isinstance(key, str) else []
-            if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            digits = len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts)
+            if not digits or key != "{},{}".format(*map(int, parts)):
                 raise ValueError(
                     f'lambda_table keys must look like "coarse,fine"; got {key!r}'
                 )
@@ -205,9 +195,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_manifest(path, dataclasses.asdict(self))
 
 
 @dataclass
@@ -221,6 +209,14 @@ class GridRow:
     sdr_cva: float | None
     best_iter: int | None
     wall_time_s: float | None
+
+
+# Header of results.csv, whose rows are the GridRow fields in this order.
+RESULT_COLUMNS = [f.name for f in dataclasses.fields(GridRow)]
+# GridRow columns that averages.csv averages over the completed cells.
+_AVERAGED = ("sdr_y2", "sdr_cpa", "sdr_cva")
+_AVERAGE_COLUMNS = ["coarse_bits", "fine_bits", "k", "n_signals"]
+_AVERAGE_COLUMNS += [f"mean_{c}" for c in _AVERAGED]
 
 
 def build_filter(k: int, num_taps: int = 129, beta: float = 8.0) -> FirFilter:
@@ -326,54 +322,25 @@ def _run_cell(
         return GridRow(signal_id, coarse, fine, cfg.k, None, None, None, None, None)
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_results(rows: list[GridRow], path: Path) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header line, then ``rows``.  csv writes None as an empty
+    field and a float as its repr, so every float reads back bit for bit."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.signal_id,
-                    row.coarse_bits,
-                    row.fine_bits,
-                    row.k,
-                    _format(row.sdr_y2),
-                    _format(row.sdr_cpa),
-                    _format(row.sdr_cva),
-                    _format(row.best_iter),
-                    _format(row.wall_time_s),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_averages(rows: list[GridRow], path: Path) -> None:
+def _average_rows(rows: list[GridRow]):
+    """One averages.csv row per (coarse, fine) pair: the mean of each
+    averaged column over the pair's completed cells, None if there are none."""
     groups: dict[tuple[int, int], list[GridRow]] = {}
     for row in rows:
         groups.setdefault((row.coarse_bits, row.fine_bits), []).append(row)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["coarse_bits", "fine_bits", "k", "n_signals", "mean_sdr_y2", "mean_sdr_cpa", "mean_sdr_cva"]
-        )
-        for (coarse, fine), members in sorted(groups.items()):
-            done = [r for r in members if r.sdr_cva is not None]
-            if done:
-                means = [
-                    repr(float(np.mean([r.sdr_y2 for r in done]))),
-                    repr(float(np.mean([r.sdr_cpa for r in done]))),
-                    repr(float(np.mean([r.sdr_cva for r in done]))),
-                ]
-            else:
-                means = ["", "", ""]
-            writer.writerow([coarse, fine, members[0].k, len(done), *means])
+    for (coarse, fine), members in sorted(groups.items()):
+        done = [r for r in members if r.sdr_cva is not None]
+        means = [np.mean([getattr(r, c) for r in done]) if done else None for c in _AVERAGED]
+        yield [coarse, fine, members[0].k, len(done), *means]
 
 
 def run_grid(cfg: ExperimentConfig) -> list[GridRow]:
@@ -415,8 +382,8 @@ def run_grid(cfg: ExperimentConfig) -> list[GridRow]:
     rows.sort(key=lambda r: (r.signal_id, r.coarse_bits, r.fine_bits))
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_results(rows, outdir / "results.csv")
-    _write_averages(rows, outdir / "averages.csv")
+    _write_csv(outdir / "results.csv", RESULT_COLUMNS, map(dataclasses.astuple, rows))
+    _write_csv(outdir / "averages.csv", _AVERAGE_COLUMNS, _average_rows(rows))
     return rows
 
 
@@ -425,6 +392,7 @@ def taps_digest(fir: FirFilter) -> str:
 
 
 def write_manifest(path, manifest: dict) -> None:
+    """Write a run manifest, or a grid config, as indented key-sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

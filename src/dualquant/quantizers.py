@@ -123,4 +123,4 @@ def project(cs: ConsistencySet, x):
         raise ValueError(
             f"signal length {arr.size} does not match box length {len(cs)}"
         )
-    return _rewrap(x, np.minimum(np.maximum(arr, cs.lower), cs.upper))
+    return _rewrap(x, np.clip(arr, cs.lower, cs.upper))

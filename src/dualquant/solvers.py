@@ -343,16 +343,17 @@ def _rate_of(*candidates) -> int:
     return 1
 
 
-def _start(x0, length: int, reference, sample_rate_hz):
+def _start(x0, length: int, reference):
     """Checked start-up of either solver: a private copy of the start point
-    ``x0``, the reference samples (or ``None``) and the sample rate."""
+    ``x0``, the reference samples (or ``None``) and the sample rate of
+    ``x0`` or else of ``reference`` (1 Hz when neither is a Signal)."""
     x = samples_of(x0).copy()
     if x.size != length:
         raise ValueError(f"x0 (y2) length {x.size} does not match frame length {length}")
     ref = None if reference is None else samples_of(reference)
     if ref is not None and ref.size != length:
         raise ValueError("reference length does not match the frame length")
-    return x, ref, sample_rate_hz or _rate_of(reference)
+    return x, ref, _rate_of(x0, reference)
 
 
 def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
@@ -406,8 +407,7 @@ def cva_solve(
     if cfg is None:
         cfg = SolverConfig(*default_steps(model.filter))
     return cva_solve_sets(
-        fine_set, coarse_set, model.filter, k, frame, x0=y2_arr, cfg=cfg,
-        reference=reference, sample_rate_hz=_rate_of(y2, reference),
+        fine_set, coarse_set, model.filter, k, frame, x0=y2, cfg=cfg, reference=reference
     )
 
 
@@ -420,17 +420,17 @@ def cva_solve_sets(
     x0,
     cfg: SolverConfig,
     reference=None,
-    sample_rate_hz: int | None = None,
 ) -> SolverRun:
     """Dual-branch solver taking explicit constraint boxes.
 
     Entry point for synthetic instances whose boxes are not quantizer
     cells; :func:`cva_solve` delegates here after deriving the boxes from
-    the observations.
+    the observations.  The estimate has the sample rate of ``x0`` when it
+    is a Signal, else that of ``reference``.
     """
     cfg.validate_for_cva(fir.l1_norm)
     ops = _DualBranchOperators(frame.signal_len, fir, factor)
-    x, ref, rate = _start(x0, ops.length, reference, sample_rate_hz)
+    x, ref, rate = _start(x0, ops.length, reference)
     if len(coarse_set) != ops.length or len(fine_set) != ops.short_len:
         raise ValueError("constraint box lengths do not match the operator shapes")
 
@@ -509,14 +509,10 @@ def cpa_solve(
 ) -> SolverRun:
     """Single-branch baseline: sparse recovery from the coarse full-rate
     observation alone, via the Chambolle-Pock iteration."""
-    y2_arr = samples_of(y2)
-    box = consistency_set(y2_arr, quantizer)
+    box = consistency_set(y2, quantizer)
     if cfg is None:
         cfg = SolverConfig(tau=1.0, sigma=1.0)
-    return cpa_solve_box(
-        box, frame, x0=y2_arr, cfg=cfg,
-        reference=reference, sample_rate_hz=_rate_of(y2, reference),
-    )
+    return cpa_solve_box(box, frame, x0=y2, cfg=cfg, reference=reference)
 
 
 def cpa_solve_box(
@@ -525,11 +521,11 @@ def cpa_solve_box(
     x0,
     cfg: SolverConfig,
     reference=None,
-    sample_rate_hz: int | None = None,
 ) -> SolverRun:
-    """Chambolle-Pock iteration with an explicit constraint box."""
+    """Chambolle-Pock iteration with an explicit constraint box; the
+    estimate's sample rate is chosen as in :func:`cva_solve_sets`."""
     cfg.validate_for_cpa()
-    x, ref, rate = _start(x0, frame.signal_len, reference, sample_rate_hz)
+    x, ref, rate = _start(x0, frame.signal_len, reference)
     if len(box) != frame.signal_len:
         raise ValueError("box length does not match the frame length")
     steps = _cpa_steps(x, frame, box, cfg)

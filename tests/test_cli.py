@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from dualquant import load_wav, sdr
+from dualquant import SolverConfig, cli, load_wav, sdr
 from dualquant.cli import main
 from dualquant.experiment import read_manifest
 
@@ -199,6 +200,10 @@ class TestReconstruct:
             ("solver", "max_iters", "2"),
             ("solver", "tau", True),
             ("solver", "sigma", float("nan")),
+            # in range of their type, but they would crop or rescale wrongly
+            (None, "original_len", 0),
+            (None, "original_len", 10**9),
+            (None, "normalization_scale", -1.0),
         ],
     )
     def test_manifest_mistyped_value_reported(self, workspace, capsys, section, key, value):
@@ -213,6 +218,11 @@ class TestReconstruct:
         dotted = f"{section}.{key}" if section else key
         assert err.startswith("error:") and f"'{dotted}'" in err
         assert len(err.strip().splitlines()) == 1
+        assert not (outdir / "xhat.wav").exists()
+
+    def test_manifest_table_lists_the_solver_config_fields(self):
+        solver = {k.split(".")[1] for k in cli._MANIFEST_TYPES if k.startswith("solver.")}
+        assert solver == {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 class TestBaseline:

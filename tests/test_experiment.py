@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from dualquant import PEAK_TARGET, Quantizer
 from dualquant.experiment import (
     ExperimentConfig,
+    GridRow,
     RESULT_COLUMNS,
     build_filter,
     padded_length,
@@ -73,6 +76,9 @@ class TestConfig:
             ({"output_dir": 3}, "config key 'output_dir' must be a string"),
             ({"lambda_table": {"10,20": "0.5"}}, "lambda_table entry '10,20'"),
             ([1, 2], "not a JSON object"),
+            # keys lambda_for would never look up
+            ({"lambda_table": {"10, 20": 0.5}}, 'keys must look like "coarse,fine"'),
+            ({"lambda_table": {"010,20": 0.5}}, 'keys must look like "coarse,fine"'),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, data, message):
@@ -217,6 +223,48 @@ class TestRunGrid:
         assert ok and all(r.sdr_cva is not None for r in ok)
         text = (tmp_path / "out" / "results.csv").read_text()
         assert ",,,,\n" in text or ",,,," in text  # empty metric fields present
+
+    def test_csv_fields_read_back_to_rows_and_means(self, tmp_path, monkeypatch):
+        import dualquant.experiment as experiment
+
+        real = experiment.cva_solve
+
+        def flaky(y1, y2, model, frame, cfg=None, reference=None):
+            if model.coarse.bits == 8:
+                raise ValueError("injected failure")
+            return real(y1, y2, model, frame, cfg, reference)
+
+        monkeypatch.setattr(experiment, "cva_solve", flaky)
+        rows = run_grid(small_config(tmp_path, max_iters=5))
+        kinds = {"str": str, "int": int, "int | None": int, "float | None": float}
+        parse = {f.name: kinds[f.type] for f in dataclasses.fields(GridRow)}
+
+        def bits(values):
+            return [v.hex() if isinstance(v, float) else v for v in values]
+
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(rows)
+        for record, row in zip(table, rows):
+            back = [None if v == "" else parse[n](v) for n, v in record.items()]
+            assert bits(back) == bits(dataclasses.astuple(row))
+        assert any(r.sdr_cva is None for r in rows)
+
+        with open(tmp_path / "out" / "averages.csv", newline="") as fh:
+            averages = list(csv.DictReader(fh))
+        assert len(averages) == 2
+        for record in averages:
+            coarse, fine = int(record["coarse_bits"]), int(record["fine_bits"])
+            group = [r for r in rows if (r.coarse_bits, r.fine_bits) == (coarse, fine)]
+            done = [r for r in group if r.sdr_cva is not None]
+            assert int(record["n_signals"]) == len(done)
+            for name in ("sdr_y2", "sdr_cpa", "sdr_cva"):
+                field = record[f"mean_{name}"]
+                if done:
+                    mean = float(np.mean([getattr(r, name) for r in done]))
+                    assert float(field).hex() == mean.hex()
+                else:
+                    assert field == ""
 
     def test_missing_input_file_rejected(self, tmp_path):
         cfg = small_config(tmp_path, signals=[str(tmp_path / "nope.wav")])

@@ -423,6 +423,16 @@ class TestSingleBranchOracle:
         assert run.feasibility_gap.fine == 0.0
 
 
+class TestEstimateRate:
+    def test_signal_start_point_sets_the_rate(self):
+        x0 = Signal(np.full(L, 0.4), 8000)
+        cfg = SolverConfig(TAU, SIGMA, max_iters=2)
+        dual = cva_solve_sets(box(0.3, 0.8), box(0.2, 0.6), IMPULSE, 1, IDENTITY_FRAME, x0, cfg)
+        single = cpa_solve_box(box(0.2, 0.6), IDENTITY_FRAME, x0, cfg)
+        assert dual.estimate.sample_rate_hz == 8000
+        assert single.estimate.sample_rate_hz == 8000
+
+
 class TestMoreauDecomposition:
     @given(
         p=arrays(np.float64, 16, elements=st.floats(-3, 3, width=64)),
