@@ -27,6 +27,7 @@ from .experiment import (
     ExperimentConfig,
     _check_type,
     _write_csv,
+    automatic_lam,
     build_filter,
     padded_length,
     read_manifest,
@@ -83,7 +84,7 @@ def cmd_simulate(args) -> int:
     # Build what reconstruct and baseline will build from the manifest, so
     # settings they would reject fail here, before any file is written.
     make_tight_frame(args.frame_window, args.frame_hop, args.frame_channels, target)
-    lam = args.lam if args.lam is not None else Quantizer(args.coarse_bits).step / 2
+    lam = args.lam if args.lam is not None else automatic_lam(args.coarse_bits)
     cfg = SolverConfig(*default_steps(fir), rho=args.rho, lam=lam, max_iters=args.iters)
     model = AcquisitionModel(
         fir, args.k, Quantizer(args.fine_bits), Quantizer(args.coarse_bits)

@@ -33,6 +33,7 @@ __all__ = [
     "ExperimentConfig",
     "GridRow",
     "RESULT_COLUMNS",
+    "automatic_lam",
     "build_filter",
     "padded_length",
     "synth_sparse_signal",
@@ -92,6 +93,16 @@ _CONFIG_TYPES = {
     "record_timing": _FLAG,
 }
 _CONFIG_LISTS = {"signals", "coarse_bits", "fine_bits"}
+
+
+def automatic_lam(coarse_bits: int) -> float:
+    """The default l1 weight: half the step of the coarse quantizer.
+
+    It scales the sparsity pressure with the quantization noise, which
+    keeps the 200-iteration protocol productive across the whole bit-depth
+    grid.  Grid cells and ``dualquant simulate`` both take it from here.
+    """
+    return Quantizer(coarse_bits).step / 2
 
 
 @dataclass
@@ -157,6 +168,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f'lambda_table keys must look like "coarse,fine"; got {key!r}'
                 )
+            coarse, fine = map(int, parts)
+            if not (1 <= coarse <= 32 and 1 <= fine <= 32):
+                raise ValueError(f"lambda_table key {key!r} names a bit depth outside [1, 32]")
+            if coarse not in self.coarse_bits or fine not in self.fine_bits:
+                raise ValueError(
+                    f"lambda_table key {key!r} names no cell of coarse_bits x fine_bits"
+                )
             _check_type(f"lambda_table entry {key!r}", value, _NUMBER)
             lams.append((f"lambda_table entry {key!r}", value))
         # The solver's own rules, so that no cell fails on a setting the
@@ -169,18 +187,13 @@ class ExperimentConfig:
 
     def lambda_for(self, coarse: int, fine: int) -> float:
         """l1 weight for a grid cell: per-cell table entry, then the global
-        override, then half the coarse quantization step.
-
-        The automatic choice scales the sparsity pressure with the
-        quantization noise, which keeps the 200-iteration protocol
-        productive across the whole bit-depth grid.
-        """
+        override, then :func:`automatic_lam` of the coarse depth."""
         key = f"{coarse},{fine}"
         if key in self.lambda_table:
             return float(self.lambda_table[key])
         if self.lam is not None:
             return float(self.lam)
-        return 2.0 ** (1 - coarse) / 2.0
+        return automatic_lam(coarse)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -37,15 +37,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import samples_of
 
 __all__ = ["TfFrame", "make_tight_frame", "analyze", "synthesize", "hann_window"]
 
 _TIGHT_TOL = 1e-10
-# Samples per block of frames that :func:`synthesize` runs through one
-# ``irfft`` (32 frames at 2048 channels): its only scratch array.
-_SYNTHESIS_SAMPLES = 1 << 16
+# Samples per block of frames that :func:`analyze` and :func:`synthesize`
+# run through one ``rfft`` or ``irfft`` (32 frames at 2048 channels): the
+# size of their only scratch array.
+_BLOCK_SAMPLES = 1 << 16
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -168,6 +170,11 @@ def _check_out(out, shapes, dtype) -> None:
         )
 
 
+def _block_rows(frame: TfFrame) -> int:
+    """Frames per block of about ``_BLOCK_SAMPLES`` samples."""
+    return min(max(1, _BLOCK_SAMPLES // frame.num_channels), frame.num_frames)
+
+
 def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
     """Tight-frame analysis coefficients of ``x`` (flat complex array).
 
@@ -175,6 +182,9 @@ def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
     ``coeff_shape``) the coefficients are written there and ``out`` is
     returned.  The window carries the sqrt(2) interior weight, so only the
     DC and (even ``M``) Nyquist columns are rescaled after the ``rfft``.
+    The windowed segments are formed in blocks of about ``_BLOCK_SAMPLES``
+    samples, in one scratch array per call, and each block goes through the
+    ``rfft`` straight into its rows of the output.
     """
     arr = samples_of(x)
     if arr.size != frame.signal_len:
@@ -186,10 +196,30 @@ def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
     else:
         _check_out(out, ((frame.num_coeffs,), frame.coeff_shape), np.complex128)
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
-    # Segment j is ext[j*hop : j*hop + w]; the tail wraps circularly.
-    ext = np.concatenate((arr, arr[: w - hop]))
-    segs = np.lib.stride_tricks.sliding_window_view(ext, w)[::hop] * frame._analysis_window
-    spectra = np.fft.rfft(segs, n=m, axis=1, out=out.reshape(frame.coeff_shape))
+    frames = frame.num_frames
+    # Segment j is x[j*hop : j*hop + w] circularly.  The first `inside`
+    # segments lie within x; the rest are read from a copy of the few
+    # samples from the first of them on, followed by the wrapped head.
+    inside = (arr.size - w) // hop + 1
+    segs = sliding_window_view(arr, w)[::hop]
+    if inside < frames:
+        tail = np.concatenate((arr[inside * hop :], arr[: w - hop]))
+        wrapped = sliding_window_view(tail, w)[::hop]
+    rows = _block_rows(frame)
+    scratch = np.empty((rows, w))
+    spectra = out.reshape(frame.coeff_shape)
+    for j0 in range(0, frames, rows):
+        j1 = min(j0 + rows, frames)
+        split = min(max(inside, j0), j1)
+        block = scratch[: j1 - j0]
+        np.multiply(segs[j0:split], frame._analysis_window, out=block[: split - j0])
+        if split < j1:
+            np.multiply(
+                wrapped[split - inside : j1 - inside],
+                frame._analysis_window,
+                out=block[split - j0 :],
+            )
+        np.fft.rfft(block, n=m, axis=1, out=spectra[j0:j1])
     spectra[:, 0] *= 1.0 / math.sqrt(2.0)
     if m % 2 == 0:
         spectra[:, m // 2] *= 1.0 / math.sqrt(2.0)
@@ -210,7 +240,7 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     ``irfft`` is linear, so the missing part of segment sample ``t``,
     ``((sqrt(2) - 1) / M) * (Re c[j, 0] + (-1)^t Re c[j, M/2])``, is added
     before windowing.  Odd ``M`` has no Nyquist term.  The frames go
-    through the ``irfft`` in blocks of about ``_SYNTHESIS_SAMPLES``
+    through the ``irfft`` in blocks of about ``_BLOCK_SAMPLES``
     samples, into one scratch array per call, and each block is added
     into the output as it is done.
     """
@@ -227,7 +257,7 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
     c = c.reshape(frame.coeff_shape)
     frames = frame.num_frames
-    rows = min(max(1, _SYNTHESIS_SAMPLES // m), frames)
+    rows = _block_rows(frame)
     scratch = np.empty((rows, m))
     excess = (math.sqrt(2.0) - 1.0) / m
     # Block q of frame j lands on hop-block (j + q) mod J of the output; the

@@ -74,7 +74,10 @@ class ConsistencySet:
         return np.maximum(0.0, np.maximum(self.lower - arr, arr - self.upper))
 
     def max_violation(self, x) -> float:
-        return float(self.violation(x).max())
+        """Largest entry of :meth:`violation`, formed from one side of the
+        box at a time."""
+        arr = samples_of(x)
+        return max(0.0, float((self.lower - arr).max()), float((arr - self.upper).max()))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return self.max_violation(x) <= tol
@@ -97,20 +100,26 @@ def consistency_set(y, q: Quantizer) -> ConsistencySet:
     """
     arr = samples_of(y)
     step = q.step
-    idx = np.round(arr / step - 0.5)
-    levels = step * (idx + 0.5)
-    off_grid = np.abs(arr - levels) > GRID_TOL
     top_idx = 2 ** (q.bits - 1) - 1
     bottom_idx = -(2 ** (q.bits - 1))
-    invalid = off_grid | (idx > top_idx) | (idx < bottom_idx)
-    if np.any(invalid):
+    idx = np.divide(arr, step)
+    idx -= 0.5
+    np.round(idx, out=idx)
+    # upper holds the levels step * (idx + 0.5), and lower the distance of
+    # each sample from its level, until the bounds are formed in place
+    upper = idx + 0.5
+    upper *= step
+    lower = np.subtract(arr, upper)
+    np.abs(lower, out=lower)
+    if lower.max() > GRID_TOL or idx.max() > top_idx or idx.min() < bottom_idx:
+        invalid = (lower > GRID_TOL) | (idx > top_idx) | (idx < bottom_idx)
         i = int(np.argmax(invalid))
         raise ValueError(
             f"observation sample {arr[i]!r} at position {i} is not a "
             f"{q.bits}-bit reproduction level"
         )
-    lower = levels - step / 2
-    upper = levels + step / 2
+    np.subtract(upper, step / 2, out=lower)
+    upper += step / 2
     upper[idx == top_idx] = 1.0
     lower[idx == bottom_idx] = -1.0
     return ConsistencySet(lower, upper)

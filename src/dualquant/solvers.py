@@ -133,6 +133,23 @@ class SolverRun:
     feasibility_gap: FeasibilityGap
 
 
+# Coefficients per block of the moduli that clip_complex and _weighted_l1
+# form in their one scratch array (31 frames of 1025 bins).
+_MODULUS_SAMPLES = 1 << 15
+
+
+def _moduli(c: np.ndarray):
+    """Yield ``(rows, |c[rows]|)`` over blocks of rows of ``c`` (slices of
+    its first axis) of about ``_MODULUS_SAMPLES`` entries, each modulus
+    block formed in the same scratch array."""
+    rows = max(1, _MODULUS_SAMPLES // max(1, math.prod(c.shape[1:])))
+    scratch = np.empty((min(rows, len(c)), *c.shape[1:]))
+    for r0 in range(0, len(c), rows):
+        part = slice(r0, r0 + rows)
+        block = c[part]
+        yield part, np.abs(block, out=scratch[: len(block)])
+
+
 def clip_complex(c, lam, out=None) -> np.ndarray:
     """Project coefficients onto the ball of modulus at most ``lam``.
 
@@ -141,20 +158,29 @@ def clip_complex(c, lam, out=None) -> np.ndarray:
     of the convex conjugate of lam * |.|_1 for complex coefficients.
     ``lam`` may be an array broadcastable against ``c`` (one radius per
     coefficient, for a weighted l1 norm).  With ``out`` (which may be ``c``
-    itself) the result is written there instead of a new array.
+    itself) the result is written there instead of a new array.  The
+    moduli are formed a block of rows at a time, so a call holds no
+    scratch the size of ``c``.
     """
     if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
-    c = np.asarray(c)
-    scale = np.abs(c).astype(np.float64, copy=False)
-    np.maximum(scale, lam, out=scale)
-    np.divide(lam, scale, out=scale)
-    return np.multiply(c, scale, out=out)
+    c, lam = np.broadcast_arrays(np.asarray(c), np.asarray(lam, dtype=np.float64))
+    if out is None:
+        out = np.empty(c.shape, dtype=np.result_type(c, lam))
+    for part, scale in _moduli(c):
+        np.maximum(scale, lam[part], out=scale)
+        np.divide(lam[part], scale, out=scale)
+        np.multiply(c[part], scale, out=out[part])
+    return out
 
 
 def _weighted_l1(c: np.ndarray, frame: TfFrame) -> float:
     """``|A_full x|_1`` from the half-spectrum coefficients ``c = A x``."""
-    return float(np.sum(np.abs(c).reshape(frame.coeff_shape) @ frame.coeff_weight))
+    c = c.reshape(frame.coeff_shape)
+    sums = np.empty(len(c))
+    for part, moduli in _moduli(c):
+        np.matmul(moduli, frame.coeff_weight, out=sums[part])
+    return float(np.sum(sums))
 
 
 def default_steps(b: FirFilter) -> tuple[float, float]:
@@ -375,7 +401,12 @@ def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
         if ref is not None:
             value = sdr_values[i] = sdr(ref, x)
             if value > best_sdr:
-                best_sdr, best_x, best_iter = value, x.copy(), i + 1
+                # one buffer for the best iterate, filled at each improvement
+                if best_x is None:
+                    best_x = x.copy()
+                else:
+                    np.copyto(best_x, x)
+                best_sdr, best_iter = value, i + 1
     selected = best_x if best_x is not None else x
     gap_at = FeasibilityGap(*gap(selected))
     return SolverRun(Signal(selected, rate), objective, sdr_values, best_iter, gap_at)
@@ -447,7 +478,8 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
     The duals are kept divided by sigma (see the module docstring).  Every
     coefficient array is allocated here, once per run, and updated in
     place; with ``rho == 1`` the l1 dual and the analysis buffer swap
-    instead of being copied.
+    instead of being copied, and so do the coarse dual and the look-ahead
+    buffer.
     """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
     shape = frame.coeff_shape
@@ -461,8 +493,8 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
     # combinations as the iterate itself; used for the objective trace.
     ax = np.empty(shape, dtype=np.complex128)
     grad = np.empty(ops.length)
+    # The look-ahead point, then the coarse-branch prox argument.
     lookahead = np.empty(ops.length)
-    p3 = np.empty(ops.length)
     first = True
     while True:
         # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
@@ -492,9 +524,10 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         y1, a = _relax(y1, a, rho)
         p2 = ops.down_filter(lookahead)
         p2 += y2
-        y2, _ = _relax(y2, _box_dual_prox(p2, fine_set), rho)
-        np.add(lookahead, y3, out=p3)
-        y3, p3 = _relax(y3, _box_dual_prox(p3, coarse_set), rho)
+        # the buffer _relax frees is dropped: down_filter returns a new one
+        y2 = _relax(y2, _box_dual_prox(p2, fine_set), rho)[0]
+        lookahead += y3
+        y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set), rho)
 
         x += step
         yield x, _weighted_l1(ax, frame)

@@ -22,17 +22,18 @@ _PCM = 1
 _IEEE_FLOAT = 3
 
 
-def _read_chunks(raw: bytes, path) -> dict[bytes, bytes]:
+def _read_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
+    """The body of each chunk of ``raw``, by tag, as views into ``raw``."""
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    view = memoryview(raw)
+    chunks: dict[bytes, memoryview] = {}
     pos = 12
     while pos + 8 <= len(raw):
         tag = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
         if tag not in chunks:  # keep the first occurrence
-            chunks[tag] = body
+            chunks[tag] = view[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     return chunks
 

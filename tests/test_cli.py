@@ -6,7 +6,7 @@ import pytest
 
 from dualquant import SolverConfig, cli, load_wav, sdr
 from dualquant.cli import main
-from dualquant.experiment import read_manifest
+from dualquant.experiment import ExperimentConfig, read_manifest
 
 
 @pytest.fixture
@@ -124,6 +124,17 @@ class TestSimulate(object):
         assert err.startswith("error:") and message in err
         assert len(err.strip().splitlines()) == 1
         assert not (outdir / "manifest.json").exists()
+
+    def test_automatic_lam_matches_the_grid(self, workspace):
+        # simulate and the grid take the default l1 weight from one rule
+        tmp_path, wav = workspace
+        for coarse, fine in [(1, 2), (4, 12), (10, 20), (16, 24), (31, 32)]:
+            outdir = tmp_path / f"c{coarse}"
+            args = ["--coarse-bits", str(coarse), "--fine-bits", str(fine)]
+            assert main(["simulate", str(wav), "--outdir", str(outdir), *args]) == 0
+            lam = read_manifest(outdir / "manifest.json")["solver"]["lam"]
+            grid = ExperimentConfig(coarse_bits=[coarse], fine_bits=[fine])
+            assert lam == grid.lambda_for(coarse, fine) == 2.0**-coarse
 
 
 class TestReconstruct:

@@ -79,6 +79,8 @@ class TestConfig:
             # keys lambda_for would never look up
             ({"lambda_table": {"10, 20": 0.5}}, 'keys must look like "coarse,fine"'),
             ({"lambda_table": {"010,20": 0.5}}, 'keys must look like "coarse,fine"'),
+            ({"lambda_table": {"40,20": 0.5}}, "key '40,20' names a bit depth outside"),
+            ({"lambda_table": {"5,9": 0.1}}, "key '5,9' names no cell of coarse_bits"),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, data, message):

@@ -134,11 +134,32 @@ class TestAnalyzeSynthesize:
             c = rng.standard_normal(fr.num_coeffs) + 1j * rng.standard_normal(fr.num_coeffs)
             x = rng.standard_normal(fr.signal_len)
             whole = synthesize(fr, c)
-            monkeypatch.setattr(frames, "_SYNTHESIS_SAMPLES", rows * fr.num_channels)
+            monkeypatch.setattr(frames, "_BLOCK_SAMPLES", rows * fr.num_channels)
             np.testing.assert_allclose(synthesize(fr, c), whole, rtol=0, atol=1e-12)
             lhs = np.real(np.sum(analyze(fr, x) * np.conj(c)))
             rhs = np.dot(x, synthesize(fr, c))
             assert abs(lhs - rhs) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_analysis_in_blocks_of_frames(self, frame, rows, monkeypatch):
+        # analyze windows the segments a block of frames at a time; blocks
+        # of 1, 3 and 5 frames (a short last block, blocks holding segments
+        # inside the signal and segments that wrap round its end) give the
+        # one-block result exactly, on frames with an even and an odd
+        # channel count, with window == hop and with L == window
+        rng = np.random.default_rng(rows)
+        cases = (frame, ODD_FRAME, make_tight_frame(8, 8, 16, 64), make_tight_frame(32, 8, 32, 32))
+        for fr in cases:
+            x = rng.standard_normal(fr.signal_len)
+            m, w, hop = fr.num_channels, fr.window.size, fr.hop
+            segs = x[(np.arange(fr.num_frames)[:, None] * hop + np.arange(w)) % x.size]
+            direct = np.fft.rfft(segs * fr.tight_window, n=m, axis=1) * fr.coeff_weight
+            monkeypatch.setattr(frames, "_BLOCK_SAMPLES", fr.num_frames * m)
+            whole = analyze(fr, x)
+            np.testing.assert_allclose(whole, direct.ravel(), rtol=0, atol=1e-12)
+            monkeypatch.setattr(frames, "_BLOCK_SAMPLES", rows * m)
+            np.testing.assert_array_equal(analyze(fr, x), whole)
             monkeypatch.undo()
 
     def test_out_of_wrong_shape_or_dtype_rejected(self, frame):

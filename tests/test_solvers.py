@@ -15,9 +15,11 @@ from dualquant import (
     Quantizer,
     Signal,
     SolverConfig,
+    analyze,
     apply_filter,
     apply_filter_adjoint,
     clip_complex,
+    consistency_set,
     cpa_solve,
     cpa_solve_box,
     cva_solve,
@@ -30,7 +32,7 @@ from dualquant import (
     simulate_acquisition,
     upsample_adjoint,
 )
-from dualquant.solvers import _DualBranchOperators, _cva_steps
+from dualquant.solvers import _DualBranchOperators, _cpa_steps, _cva_steps, _weighted_l1
 
 L = 4
 IDENTITY_FRAME = make_tight_frame(1, 1, 1, L)
@@ -217,6 +219,77 @@ class TestCvaStepAllocation:
             tracemalloc.stop()
         coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
         assert peak <= 2 * coeff_bytes
+
+
+def _peak_bytes(call):
+    """Peak of the memory ``call()`` allocates (tracemalloc), after one
+    warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestBlockScratch:
+    """A solve holds its iteration state, and every call in it adds only
+    block-sized scratch on top: no temporary the size of the signal's
+    coefficients."""
+
+    @pytest.mark.parametrize("name", ["analyze", "clip_complex", "_weighted_l1"])
+    def test_call_allocates_its_output_plus_one_mib(self, name):
+        length = 288768  # the hires-cva length
+        frame = make_tight_frame(2048, 512, 2048, length)
+        coeffs = analyze(frame, np.random.default_rng(1).standard_normal(length))
+        coeffs = coeffs.reshape(frame.coeff_shape)
+        radius = 0.5 * np.median(np.abs(coeffs)) * frame.coeff_weight
+        x = np.random.default_rng(2).standard_normal(length)
+        calls = {
+            "analyze": (lambda: analyze(frame, x), coeffs.nbytes),
+            "clip_complex": (lambda: clip_complex(coeffs, radius), coeffs.nbytes),
+            "_weighted_l1": (lambda: _weighted_l1(coeffs, frame), 0),
+        }
+        call, output_bytes = calls[name]
+        assert _peak_bytes(call) <= output_bytes + (1 << 20)
+
+    @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
+    def test_step_peaks_at_half_a_coefficient_array(self, solver, rho):
+        # Steps 3-5 of either iteration allocate at most half a coefficient
+        # array above the state held after step 2.  The signal has 256
+        # frames, so that a block of 32 frames is a small part of it.
+        from dualquant.experiment import synth_corpus
+
+        length = 131072
+        frame = make_tight_frame(2048, 512, 2048, length)
+        fir = design_lowpass(4)
+        model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+        (_, x), = synth_corpus(1, 5, length / 16000, 16000)
+        y1, y2 = simulate_acquisition(x, model)
+        coarse_set = consistency_set(y2.samples, model.coarse)
+        tracemalloc.start()
+        try:
+            if solver == "cva":
+                cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
+                ops = _DualBranchOperators(length, fir, 4)
+                fine_set = consistency_set(y1.samples, model.fine)
+                steps = _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
+            else:
+                cfg = SolverConfig(1.0, 1.0, lam=model.coarse.step / 2)
+                steps = _cpa_steps(y2.samples.copy(), frame, coarse_set, cfg)
+            next(steps)
+            next(steps)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
+        assert peak - held <= 0.5 * coeff_bytes
 
 
 class TestDefaultSteps:

@@ -53,7 +53,9 @@ def _owner_and_name(where):
     return owner, name
 
 
-def test_one_iteration_cva_solve_reaches_every_split_site(monkeypatch):
+def _one_iteration_cva_calls(monkeypatch):
+    """Calls per site name of the iteration split in a one-iteration CVA
+    solve, counted through the names the benchmark traces."""
     calls = dict.fromkeys(CVA_CHILDREN, 0)
     for where, name, _ in SITES:
         if name not in calls:
@@ -75,5 +77,18 @@ def test_one_iteration_cva_solve_reaches_every_split_site(monkeypatch):
     frame = make_tight_frame(512, 128, 512, length)
     cfg = SolverConfig(*default_steps(fir), max_iters=1)
     cva_solve(y1, y2, model, frame, cfg, reference=x)
+    return calls
+
+
+def test_one_iteration_cva_solve_reaches_every_split_site(monkeypatch):
+    calls = _one_iteration_cva_calls(monkeypatch)
     assert [name for name, n in calls.items() if n == 0] == []
     assert calls["frames.analyze"] == 1
+
+
+def test_one_iteration_cva_solve_clips_and_synthesizes_once(monkeypatch):
+    # one call per iteration, so that the per-call medians of these sites
+    # are per-iteration costs
+    calls = _one_iteration_cva_calls(monkeypatch)
+    assert calls["solvers.clip_complex"] == 1
+    assert calls["frames.synthesize"] == 1
