@@ -22,7 +22,7 @@ from dualquant import (
     sdr,
     simulate_acquisition,
 )
-from dualquant.experiment import build_filter, padded_length, synth_corpus
+from dualquant.experiment import automatic_lam, build_filter, padded_length, synth_corpus
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
     )
     y1, y2 = simulate_acquisition(x_pad, model)
 
-    lam = Quantizer(args.coarse_bits).step / 2
+    lam = automatic_lam(args.coarse_bits)
     tau, sigma = default_steps(fir)
     dual = cva_solve(
         y1, y2, model, frame,

@@ -288,6 +288,11 @@ def _load_corpus(cfg: ExperimentConfig) -> list[tuple[str, Signal]]:
         p = Path(path)
         if not p.exists():
             raise ValueError(f"input signal not found: {p}")
+        if any(p.stem == signal_id for signal_id, _ in corpus):
+            raise ValueError(
+                f"two input signals share the file stem {p.stem!r}, "
+                "which is their signal_id in results.csv"
+            )
         corpus.append((p.stem, load_wav(p)))
     if cfg.synth_count >= 1 and not cfg.signals:
         corpus.extend(

@@ -24,6 +24,7 @@ __all__ = [
     "upsample_adjoint",
     "design_lowpass",
     "pad_to_multiple",
+    "fold_taps",
     "taps_spectrum",
     "export_taps_csv",
 ]
@@ -116,16 +117,29 @@ class Downsampler:
         object.__setattr__(self, "factor", int(self.factor))
 
 
-def taps_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
-    """rfft of the taps wrapped onto a circular buffer of ``length`` samples.
+def fold_taps(taps: np.ndarray, length: int) -> np.ndarray:
+    """The taps wrapped onto a circle of ``length`` samples.
 
-    Taps longer than the buffer are folded modulo ``length``; the result
-    represents the same circulant operator.
+    Tap t adds to tap ``t mod length``, so taps longer than the circle give
+    the same circulant operator; the result has ``min(taps.size, length)``
+    entries.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    folded = np.zeros(length)
+    folded = np.zeros(min(taps.size, length))
     np.add.at(folded, np.arange(taps.size) % length, taps)
-    return np.fft.rfft(folded)
+    return folded
+
+
+def taps_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
+    """rfft of the taps wrapped onto a circular buffer of ``length`` samples
+    (see :func:`fold_taps`)."""
+    folded = fold_taps(taps, length)
+    # padded in a zeroed buffer, not by rfft(.., n=length): that allocates
+    # less, but hires-cva read 0.2-0.6 MB more peak RSS with it in each of
+    # 7 paired runs (2-core Xeon VM)
+    buffer = np.zeros(length)
+    buffer[: folded.size] = folded
+    return np.fft.rfft(buffer)
 
 
 def _circular_apply(arr: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .acquisition import AcquisitionModel, sdr
 from .frames import TfFrame, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
-from .signals import FirFilter, Signal, samples_of
+from .signals import FirFilter, Signal, fold_taps, samples_of
 
 __all__ = [
     "SolverConfig",
@@ -213,40 +213,40 @@ class _DualBranchOperators:
     folded onto the circle (tap t adds to tap t mod L), which is the same
     circulant operator; ``T`` is the folded tap count.
 
-    Both are block convolutions with FFTs of ``N`` points, overlap-save and
-    overlap-add (Oppenheim & Schafer, *Discrete-Time Signal Processing*).
-    ``P`` is ``T - 1`` rounded up to a multiple of k, and ``N`` is k times
-    the smallest power of two for which ``N >= 4 * (P + k)``: one rule for
-    every tap count, so the cost follows the tap count and not L or how L
-    factors (``N = 1024`` at k = 4 and the default 129 taps).  A block has
-    ``Q = (N - 1 - P) // k + 1`` outputs of ``down_filter`` (inputs of the
-    adjoint), and block b starts ``b * k * Q`` samples into the signal.
+    Both are overlap-save block convolutions with FFTs of ``N`` points
+    (Oppenheim & Schafer, *Discrete-Time Signal Processing*), each reading
+    its input circularly through a held history.  ``P`` is ``T - 1`` rounded
+    up to a multiple of k, and ``N`` is k times the smallest power of two
+    for which ``N >= 4 * (P + k)``: one rule for every tap count, so the
+    cost follows the tap count and not L or how L factors (``N = 1024`` at
+    k = 4 and the default 129 taps).  Block b has ``Q = (N - P) / k``
+    samples of the short side, starting at ``b * Q``, and ``k * Q`` of the
+    signal, starting at ``b * k * Q``.
 
-    ``down_filter`` (overlap-save): the signal is laid out circularly with
-    its last ``P`` samples in front.  Each N-sample block is one ``rfft``
-    and a product with the N-point taps spectrum; its samples ``P, P + k,
-    ..`` are valid, and they are the kept outputs.  Keeping every k-th
-    sample folds the spectrum onto ``N/k`` bins (bin g gathers bins ``g +
-    r N/k``; those above ``N/2`` are the conjugates of their mirrors), so
-    the ``irfft`` runs at ``N/k`` points and forms every k-th sample only
-    (the polyphase view of decimation, Crochiere & Rabiner 1983).
+    ``down_filter``: the signal is laid out circularly with its last ``P``
+    samples in front.  Each N-sample block is one ``rfft`` and a product
+    with the N-point taps spectrum; its samples ``P, P + k, ..`` are valid,
+    and they are the kept outputs.  Keeping every k-th sample folds the
+    spectrum onto ``N/k`` bins (bin g gathers bins ``g + r N/k``; those
+    above ``N/2`` are the conjugates of their mirrors), so the ``irfft``
+    runs at ``N/k`` points and forms every k-th sample only (the polyphase
+    view of decimation, Crochiere & Rabiner 1983).
 
-    ``up_filter_adjoint`` (overlap-add): each block of Q inputs, zero-stuffed
-    to N samples, is convolved with the reversed taps, which fits without
-    wrap since ``k * (Q - 1) + T <= N``.  The spectrum of the stuffed block
-    is the ``N/k``-point spectrum of the inputs repeated k times, so the
-    ``rfft`` runs at ``N/k`` points and no stuffed block is formed.  Block
-    outputs are added, ``k * Q`` samples apart, into a line that starts
-    ``T - 1`` samples before the signal; its first ``T - 1`` samples wrap
-    onto the end of the circle.
+    ``up_filter_adjoint``: the adjoint is the circular correlation of the
+    zero-stuffed input with the taps.  Each block reads ``N/k`` inputs from
+    its start, and its first ``k * Q = N - P`` samples of an N-point
+    circular correlation with the taps are valid, since ``k * Q + T - 1 <=
+    N``.  The spectrum of the stuffed block is the ``N/k``-point spectrum of
+    the inputs repeated k times, so the ``rfft`` runs at ``N/k`` points and
+    no stuffed block is formed; the product is with the conjugate taps
+    spectrum.
 
     The transforms run over chunks of about ``_CHUNK_SAMPLES`` samples into
     spectra and time blocks the instance holds, so a call's transients do
-    not grow with L or with the tap count; the circular history and the
-    zero-padded inputs are held too, so one instance serves one solve at a
-    time.  Each call returns a fresh array (a view of one), because with
-    ``rho == 1`` the solver keeps the ``down_filter`` output as its
-    fine-branch dual.
+    not grow with L or with the tap count; the two circular histories are
+    held too, so one instance serves one solve at a time.  Each call
+    returns a fresh array (a view of one), because with ``rho == 1`` the
+    solver keeps the ``down_filter`` output as its fine-branch dual.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -255,9 +255,7 @@ class _DualBranchOperators:
         k = self.factor = factor
         self.length = length
         self.short_len = length // factor
-        taps = np.zeros(min(fir.taps.size, length))
-        np.add.at(taps, np.arange(fir.taps.size) % length, fir.taps)
-        self._shift = taps.size - 1
+        taps = fold_taps(fir.taps, length)
         self._lead = -(-(taps.size - 1) // k) * k
         short = self._short = 1 << (-(-4 * (self._lead + k) // k) - 1).bit_length()
         n = self._size = k * short
@@ -267,11 +265,11 @@ class _DualBranchOperators:
         rows = self._chunk = min(max(1, _CHUNK_SAMPLES // n), self._blocks)
         # the 1/k of the spectral fold rides on the taps spectrum
         self._spectrum = np.fft.rfft(taps, n) / k
-        self._spectrum_reversed = np.fft.rfft(taps[::-1], n)
+        self._spectrum_conj = np.conj(np.fft.rfft(taps, n))
         self._history = np.empty((self._blocks - 1) * self._stride + n)
         self._windows = sliding_window_view(self._history, n)[:: self._stride]
-        self._inputs = np.zeros((self._blocks, self._per_block))
-        self._padded = np.zeros((rows, short))
+        self._short_history = np.empty((self._blocks - 1) * self._per_block + short)
+        self._short_windows = sliding_window_view(self._short_history, short)[:: self._per_block]
         self._spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
         self._half = np.empty((rows, short // 2 + 1), dtype=np.complex128)
         self._full = np.empty((rows, short), dtype=np.complex128)
@@ -306,40 +304,26 @@ class _DualBranchOperators:
         return out.reshape(-1)[: self.short_len]
 
     def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
-        stride, blocks, n, short = self._stride, self._blocks, self._size, self._short
+        n, short, stride = self._size, self._short, self._stride
         half = short // 2
-        self._inputs.reshape(-1)[: self.short_len] = w
-        parts = -(-n // stride)
-        line = np.empty((blocks + parts) * stride)
-        spans = line.reshape(-1, stride)
-        spans[blocks:] = 0.0
-        # Last chunk first, so that each block's first part can be assigned:
-        # every block after it has already added its later parts.
-        for b0, b1 in reversed(list(self._chunks())):
+        _fill_circular(self._short_history, w, 0)
+        out = np.empty((self._blocks, stride))
+        for b0, b1 in self._chunks():
             rows = b1 - b0
-            padded, full = self._padded[:rows], self._full[:rows]
-            padded[:, : self._per_block] = self._inputs[b0:b1]
-            spectrum = np.fft.rfft(padded, axis=1, out=self._half[:rows])
+            full = self._full[:rows]
+            spectrum = np.fft.rfft(self._short_windows[b0:b1], axis=1, out=self._half[:rows])
             full[:, : half + 1] = spectrum
             np.conj(spectrum[:, half - 1 : 0 : -1], out=full[:, half + 1 :])
             spec = self._spec[:rows]
             for r in range(0, n // 2 + 1, short):
                 width = min(short, n // 2 + 1 - r)
                 np.multiply(
-                    full[:, :width], self._spectrum_reversed[r : r + width],
+                    full[:, :width], self._spectrum_conj[r : r + width],
                     out=spec[:, r : r + width],
                 )
             time = np.fft.irfft(spec, n, axis=1, out=self._time[:rows])
-            spans[b0:b1] = time[:, :stride]
-            for p in range(1, parts):
-                piece = time[:, p * stride : (p + 1) * stride]
-                spans[b0 + p : b1 + p, : piece.shape[1]] += piece
-        # line[i] is sample i - (T - 1), and no block reaches sample L, so
-        # only the first T - 1 entries wrap round the circle.
-        shift = self._shift
-        out = line[shift : shift + self.length]
-        out[self.length - shift :] += line[:shift]
-        return out
+            out[b0:b1] = time[:, :stride]
+        return out.reshape(-1)[: self.length]
 
 
 def _box_dual_prox(p, box: ConsistencySet):

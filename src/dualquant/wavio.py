@@ -20,6 +20,7 @@ __all__ = ["load_wav", "save_wav"]
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_U32_MAX = 2**32 - 1
 
 
 def _read_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
@@ -117,6 +118,14 @@ def save_wav(path, x: Signal, bits: int = 24) -> None:
         raise ValueError(f"unsupported bit width {bits}; use 16, 24, 32 or 64")
 
     block_align = bits // 8
+    # the byte rate and the RIFF size are unsigned 32-bit header fields
+    if rate * block_align > _U32_MAX:
+        raise ValueError(
+            f"{path}: sample rate {rate} Hz is too high for a {bits}-bit WAV header "
+            f"(the byte rate {rate * block_align} exceeds {_U32_MAX})"
+        )
+    if 36 + len(payload) > _U32_MAX:
+        raise ValueError(f"{path}: {arr.size} samples at {bits} bits do not fit in one WAV file")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",

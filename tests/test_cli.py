@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ class TestSimulate(object):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "factor k" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_rate_overflowing_the_wav_header_reported(self, tmp_path, capsys):
+        # a float64 WAV whose header rate is 2^32 - 1: its outputs' byte rate
+        # does not fit the 32-bit header field
+        payload = np.random.default_rng(5).uniform(-0.5, 0.5, 4000).astype("<f8").tobytes()
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+            3, 1, 2**32 - 1, 0, 8, 64, b"data", len(payload),
+        )
+        wav = tmp_path / "fast.wav"
+        wav.write_bytes(header + payload)
+        rc = main(["simulate", str(wav), "--outdir", str(tmp_path / "o"), "--iters", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample rate" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dualquant import PEAK_TARGET, Quantizer
+from dualquant import PEAK_TARGET, Quantizer, Signal, save_wav
 from dualquant.experiment import (
     ExperimentConfig,
     GridRow,
@@ -271,6 +271,17 @@ class TestRunGrid:
     def test_missing_input_file_rejected(self, tmp_path):
         cfg = small_config(tmp_path, signals=[str(tmp_path / "nope.wav")])
         with pytest.raises(ValueError, match="not found"):
+            run_grid(cfg)
+
+    def test_inputs_sharing_a_stem_rejected(self, tmp_path):
+        # the stem is the row's signal_id, so two x.wav would give x rows
+        # that nothing tells apart
+        paths = [tmp_path / "d0" / "x.wav", tmp_path / "d1" / "x.wav"]
+        for path in paths:
+            path.parent.mkdir()
+            save_wav(path, Signal(np.full(512, 0.25), 16000), bits=64)
+        cfg = small_config(tmp_path, signals=[str(p) for p in paths])
+        with pytest.raises(ValueError, match="file stem 'x'"):
             run_grid(cfg)
 
     def test_dual_branch_beats_raw_observation_on_average(self, tmp_path):

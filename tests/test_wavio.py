@@ -79,6 +79,19 @@ class TestFormat:
         with pytest.raises(ValueError):
             save_wav(tmp_path / "x.wav", Signal([0.0], 8000), bits=8)
 
+    @pytest.mark.parametrize("rate, bits", [(2**31, 64), (2**29, 64), (2**31, 16)])
+    def test_rate_overflowing_the_header_rejected_on_save(self, tmp_path, rate, bits):
+        # the byte rate, rate * bits / 8, is a 32-bit header field
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz"):
+            save_wav(path, Signal([0.0], rate), bits=bits)
+        assert not path.exists()
+
+    def test_highest_rate_that_fits_the_header(self, tmp_path):
+        rate = 2**29 - 1  # byte rate 2^32 - 8 at 64 bits
+        save_wav(tmp_path / "x.wav", Signal([0.5], rate), bits=64)
+        assert load_wav(tmp_path / "x.wav").sample_rate_hz == rate
+
     def test_non_wav_rejected(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"this is not audio at all, sorry")
