@@ -40,7 +40,9 @@ from .frames import make_tight_frame
 from .quantizers import Quantizer
 from .signals import Signal, export_taps_csv, pad_to_multiple
 from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve, default_steps
-from .wavio import load_wav, save_wav
+from .wavio import _max_rate, load_wav, save_wav
+
+_ESTIMATE_BITS = 64  # bits per sample of the estimate reconstruct and baseline write
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -178,13 +180,12 @@ def _check_manifest(manifest, path) -> None:
     unknown = sorted(n for n in manifest["solver"] if f"solver.{n}" not in _MANIFEST_TYPES)
     if unknown:
         raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
-    # reconstruct and baseline crop the estimate to original_len samples
-    # and divide it by the scale: a bad value would give a wrong file
-    if not 1 <= manifest["original_len"] <= manifest["padded_len"]:
-        raise ValueError(
-            f"{path}: manifest key 'original_len' must lie in [1, padded_len = "
-            f"{manifest['padded_len']}], got {manifest['original_len']}"
-        )
+    # reconstruct and baseline crop, save and rescale the estimate with these
+    # after the whole solve: a bad value would give a wrong file or fail there
+    upper = {"original_len": manifest["padded_len"], "sample_rate_hz": _max_rate(_ESTIMATE_BITS)}
+    for key, top in upper.items():
+        if not 1 <= manifest[key] <= top:
+            raise ValueError(f"{path}: manifest key {key!r} is {manifest[key]}, not in [1, {top}]")
     if manifest["normalization_scale"] <= 0:
         raise ValueError(
             f"{path}: manifest key 'normalization_scale' must be positive, "
@@ -248,7 +249,7 @@ def _write_run_outputs(args, manifest, base, run: SolverRun, suffix: str) -> int
     # Back to the input's amplitude domain: drop padding, undo normalization.
     estimate = run.estimate.samples[: manifest["original_len"]]
     estimate = estimate / manifest["normalization_scale"]
-    save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=64)
+    save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=_ESTIMATE_BITS)
     sdrs = repeat(None) if run.sdr_trace is None else run.sdr_trace
     _write_csv(trace, ["iteration", "objective", "sdr"], zip(count(1), run.objective_trace, sdrs))
     print(out)

@@ -39,14 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signals import samples_of
+from .signals import _add_circular, _fill_circular, samples_of
 
 __all__ = ["TfFrame", "make_tight_frame", "analyze", "synthesize", "hann_window"]
 
 _TIGHT_TOL = 1e-10
 # Samples per block of frames that :func:`analyze` and :func:`synthesize`
 # run through one ``rfft`` or ``irfft`` (32 frames at 2048 channels): the
-# size of their only scratch array.
+# size of their scratch, one block array and one line of samples.
 _BLOCK_SAMPLES = 1 << 16
 
 
@@ -67,7 +67,7 @@ def _hop_energy(g: np.ndarray, hop: int) -> np.ndarray:
     """``sum_j g[n - j*hop]^2`` for ``n`` in ``[0, hop)``; the painless frame
     diagonal (divided by M) is this sequence repeated with period ``hop``."""
     energy = np.zeros(hop)
-    np.add.at(energy, np.arange(g.size) % hop, g**2)
+    _add_circular(energy, g**2, 0)
     return energy
 
 
@@ -154,9 +154,9 @@ def make_tight_frame(
     g = hann_window(window_len)
     if hop < 1 or hop > window_len:
         raise ValueError(f"hop must lie in [1, window_len]; got {hop}")
-    diag = num_channels * _hop_energy(g, hop)
-    tight = g / np.sqrt(diag[np.arange(window_len) % hop])
-    return TfFrame(g, tight, hop, num_channels, signal_len)
+    diag = np.empty(window_len)
+    _fill_circular(diag, num_channels * _hop_energy(g, hop), 0)
+    return TfFrame(g, g / np.sqrt(diag), hop, num_channels, signal_len)
 
 
 def _check_out(out, shapes, dtype) -> None:
@@ -183,8 +183,8 @@ def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
     returned.  The window carries the sqrt(2) interior weight, so only the
     DC and (even ``M``) Nyquist columns are rescaled after the ``rfft``.
     The windowed segments are formed in blocks of about ``_BLOCK_SAMPLES``
-    samples, in one scratch array per call, and each block goes through the
-    ``rfft`` straight into its rows of the output.
+    samples, from one line read circularly from ``x`` per block, and each
+    block goes through the ``rfft`` straight into its rows of the output.
     """
     arr = samples_of(x)
     if arr.size != frame.signal_len:
@@ -197,28 +197,16 @@ def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
         _check_out(out, ((frame.num_coeffs,), frame.coeff_shape), np.complex128)
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
     frames = frame.num_frames
-    # Segment j is x[j*hop : j*hop + w] circularly.  The first `inside`
-    # segments lie within x; the rest are read from a copy of the few
-    # samples from the first of them on, followed by the wrapped head.
-    inside = (arr.size - w) // hop + 1
-    segs = sliding_window_view(arr, w)[::hop]
-    if inside < frames:
-        tail = np.concatenate((arr[inside * hop :], arr[: w - hop]))
-        wrapped = sliding_window_view(tail, w)[::hop]
     rows = _block_rows(frame)
+    # a block's segments are windows of one line, read circularly from j0 * hop
+    line = np.empty((rows - 1) * hop + w)
+    segs = sliding_window_view(line, w)[::hop]
     scratch = np.empty((rows, w))
     spectra = out.reshape(frame.coeff_shape)
     for j0 in range(0, frames, rows):
         j1 = min(j0 + rows, frames)
-        split = min(max(inside, j0), j1)
-        block = scratch[: j1 - j0]
-        np.multiply(segs[j0:split], frame._analysis_window, out=block[: split - j0])
-        if split < j1:
-            np.multiply(
-                wrapped[split - inside : j1 - inside],
-                frame._analysis_window,
-                out=block[split - j0 :],
-            )
+        _fill_circular(line, arr, j0 * hop)
+        block = np.multiply(segs[: j1 - j0], frame._analysis_window, out=scratch[: j1 - j0])
         np.fft.rfft(block, n=m, axis=1, out=spectra[j0:j1])
     spectra[:, 0] *= 1.0 / math.sqrt(2.0)
     if m % 2 == 0:
@@ -241,8 +229,8 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     ``((sqrt(2) - 1) / M) * (Re c[j, 0] + (-1)^t Re c[j, M/2])``, is added
     before windowing.  Odd ``M`` has no Nyquist term.  The frames go
     through the ``irfft`` in blocks of about ``_BLOCK_SAMPLES``
-    samples, into one scratch array per call, and each block is added
-    into the output as it is done.
+    samples, into one scratch array per call; each block is overlap-added
+    into one line of samples, which is added circularly into the output.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape not in ((frame.num_coeffs,), frame.coeff_shape):
@@ -257,13 +245,15 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
     c = c.reshape(frame.coeff_shape)
     frames = frame.num_frames
-    rows = _block_rows(frame)
+    rows, span = _block_rows(frame), -(-w // hop)
     scratch = np.empty((rows, m))
     excess = (math.sqrt(2.0) - 1.0) / m
-    # Block q of frame j lands on hop-block (j + q) mod J of the output; the
-    # last block of a window that is not a whole number of hops is narrower.
-    blocks = out.reshape(frames, hop)
-    blocks[:] = 0.0
+    # A block of frames is overlap-added into one line, hop-block q of frame
+    # j0 + r on its hop-block r + q (the last of a window that is not whole
+    # hops is narrower), and the line is added circularly from j0 * hop on.
+    line = np.empty((rows + span - 1) * hop)
+    blocks = line.reshape(-1, hop)
+    out[:] = 0.0
     for j0 in range(0, frames, rows):
         j1 = min(j0 + rows, frames)
         segs = np.fft.irfft(c[j0:j1], n=m, axis=1, out=scratch[: j1 - j0])[:, :w]
@@ -275,12 +265,9 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
         else:
             segs += dc
         segs *= frame._synthesis_window
-        for q in range(-(-w // hop)):
+        line[:] = 0.0
+        for q in range(span):
             part = segs[:, q * hop : (q + 1) * hop]
-            width = part.shape[1]
-            # frame j lands on block j + q, or past the end on j + q - J
-            inside = max(0, min(j1 + q, frames) - (j0 + q))
-            blocks[j0 + q : j0 + q + inside, :width] += part[:inside]
-            wrap = max(0, j0 + q - frames)
-            blocks[wrap : wrap + j1 - j0 - inside, :width] += part[inside:]
+            blocks[q : q + j1 - j0, : part.shape[1]] += part
+        _add_circular(out, line[: (j1 - j0 + span - 1) * hop], j0 * hop)
     return out

@@ -126,8 +126,28 @@ def fold_taps(taps: np.ndarray, length: int) -> np.ndarray:
     """
     taps = np.asarray(taps, dtype=np.float64)
     folded = np.zeros(min(taps.size, length))
-    np.add.at(folded, np.arange(taps.size) % length, taps)
+    _add_circular(folded, taps, 0)
     return folded
+
+
+def _fill_circular(dest: np.ndarray, v: np.ndarray, start: int) -> None:
+    """``dest[i] = v[(start + i) mod v.size]`` for every ``i``, by slicing."""
+    pos, i = start % v.size, 0
+    while i < dest.size:
+        piece = v[pos : pos + dest.size - i]
+        dest[i : i + piece.size] = piece
+        i += piece.size
+        pos = 0
+
+
+def _add_circular(dest: np.ndarray, v: np.ndarray, start: int) -> None:
+    """Adjoint of :func:`_fill_circular`: ``dest[(start + i) mod dest.size] += v[i]``."""
+    pos, i = start % dest.size, 0
+    while i < v.size:
+        piece = dest[pos : pos + v.size - i]
+        piece += v[i : i + piece.size]
+        i += piece.size
+        pos = 0
 
 
 def taps_spectrum(taps: np.ndarray, length: int) -> np.ndarray:

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .acquisition import AcquisitionModel, sdr
 from .frames import TfFrame, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
-from .signals import FirFilter, Signal, fold_taps, samples_of
+from .signals import FirFilter, Signal, _fill_circular, fold_taps, samples_of
 
 __all__ = [
     "SolverConfig",
@@ -194,16 +194,6 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
 _CHUNK_SAMPLES = 32 * 1024
 
 
-def _fill_circular(dest: np.ndarray, v: np.ndarray, start: int) -> None:
-    """``dest[i] = v[(start + i) mod v.size]`` for every ``i``, by slicing."""
-    pos, i = start % v.size, 0
-    while i < dest.size:
-        piece = v[pos : pos + dest.size - i]
-        dest[i : i + piece.size] = piece
-        i += piece.size
-        pos = 0
-
-
 class _DualBranchOperators:
     """The filtered/downsampled branch ``D_k B`` and its adjoint, as block FFTs.
 
@@ -214,14 +204,14 @@ class _DualBranchOperators:
     circulant operator; ``T`` is the folded tap count.
 
     Both are overlap-save block convolutions with FFTs of ``N`` points
-    (Oppenheim & Schafer, *Discrete-Time Signal Processing*), each reading
-    its input circularly through a held history.  ``P`` is ``T - 1`` rounded
-    up to a multiple of k, and ``N`` is k times the smallest power of two
-    for which ``N >= 4 * (P + k)``: one rule for every tap count, so the
-    cost follows the tap count and not L or how L factors (``N = 1024`` at
-    k = 4 and the default 129 taps).  Block b has ``Q = (N - P) / k``
-    samples of the short side, starting at ``b * Q``, and ``k * Q`` of the
-    signal, starting at ``b * k * Q``.
+    (Oppenheim & Schafer, *Discrete-Time Signal Processing*), each block
+    reading its input circularly.  ``P`` is ``T - 1`` rounded up to a
+    multiple of k, and ``N`` is k times the smallest power of two for which
+    ``N >= 4 * (P + k)``: one rule for every tap count, so the cost follows
+    the tap count and not L or how L factors (``N = 1024`` at k = 4 and the
+    default 129 taps).  Block b has ``Q = (N - P) / k`` samples of the short
+    side, starting at ``b * Q``, and ``k * Q`` of the signal, starting at
+    ``b * k * Q``.
 
     ``down_filter``: the signal is laid out circularly with its last ``P``
     samples in front.  Each N-sample block is one ``rfft`` and a product
@@ -241,12 +231,13 @@ class _DualBranchOperators:
     no stuffed block is formed; the product is with the conjugate taps
     spectrum.
 
-    The transforms run over chunks of about ``_CHUNK_SAMPLES`` samples into
-    spectra and time blocks the instance holds, so a call's transients do
-    not grow with L or with the tap count; the two circular histories are
-    held too, so one instance serves one solve at a time.  Each call
-    returns a fresh array (a view of one), because with ``rho == 1`` the
-    solver keeps the ``down_filter`` output as its fine-branch dual.
+    The transforms run over chunks of about ``_CHUNK_SAMPLES`` samples, each
+    read circularly into one line from the start of its first block b0
+    (``b0 * k * Q - P`` down, ``b0 * Q`` up).  The instance holds the lines,
+    spectra and time blocks (none grows with L), so one instance serves one
+    solve at a time.  Each call returns a fresh array (a view of one),
+    because with ``rho == 1`` the solver keeps the ``down_filter`` output as
+    its fine-branch dual.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -266,29 +257,25 @@ class _DualBranchOperators:
         # the 1/k of the spectral fold rides on the taps spectrum
         self._spectrum = np.fft.rfft(taps, n) / k
         self._spectrum_conj = np.conj(np.fft.rfft(taps, n))
-        self._history = np.empty((self._blocks - 1) * self._stride + n)
-        self._windows = sliding_window_view(self._history, n)[:: self._stride]
-        self._short_history = np.empty((self._blocks - 1) * self._per_block + short)
-        self._short_windows = sliding_window_view(self._short_history, short)[:: self._per_block]
+        self._line = np.empty((rows - 1) * self._stride + n)
+        self._windows = sliding_window_view(self._line, n)[:: self._stride]
+        self._short_line = np.empty((rows - 1) * self._per_block + short)
+        self._short_windows = sliding_window_view(self._short_line, short)[:: self._per_block]
         self._spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
         self._half = np.empty((rows, short // 2 + 1), dtype=np.complex128)
         self._full = np.empty((rows, short), dtype=np.complex128)
         self._time = np.empty((rows, n))
         self._short_time = np.empty((rows, short))
 
-    def _chunks(self):
-        for b0 in range(0, self._blocks, self._chunk):
-            yield b0, min(b0 + self._chunk, self._blocks)
-
     def down_filter(self, v: np.ndarray) -> np.ndarray:
         k, lead, per_block = self.factor, self._lead, self._per_block
         short = self._short
         half = short // 2
-        _fill_circular(self._history, v, -lead)
         out = np.empty((self._blocks, per_block))
-        for b0, b1 in self._chunks():
-            rows = b1 - b0
-            spec = np.fft.rfft(self._windows[b0:b1], axis=1, out=self._spec[:rows])
+        for b0 in range(0, self._blocks, self._chunk):
+            rows = min(self._chunk, self._blocks - b0)
+            _fill_circular(self._line, v, b0 * self._stride - lead)
+            spec = np.fft.rfft(self._windows[:rows], axis=1, out=self._spec[:rows])
             spec *= self._spectrum
             # bin g of the fold gathers bins g + r * short for r < k/2, and
             # the conjugates of bins s * short - g for 1 <= s <= k/2
@@ -300,18 +287,18 @@ class _DualBranchOperators:
                 np.conj(spec[:, s * short - half : s * short + 1][:, ::-1], out=mirror)
                 fold += mirror
             time = np.fft.irfft(fold, short, axis=1, out=self._short_time[:rows])
-            out[b0:b1] = time[:, lead // k : lead // k + per_block]
+            out[b0 : b0 + rows] = time[:, lead // k : lead // k + per_block]
         return out.reshape(-1)[: self.short_len]
 
     def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
         n, short, stride = self._size, self._short, self._stride
         half = short // 2
-        _fill_circular(self._short_history, w, 0)
         out = np.empty((self._blocks, stride))
-        for b0, b1 in self._chunks():
-            rows = b1 - b0
+        for b0 in range(0, self._blocks, self._chunk):
+            rows = min(self._chunk, self._blocks - b0)
             full = self._full[:rows]
-            spectrum = np.fft.rfft(self._short_windows[b0:b1], axis=1, out=self._half[:rows])
+            _fill_circular(self._short_line, w, b0 * self._per_block)
+            spectrum = np.fft.rfft(self._short_windows[:rows], axis=1, out=self._half[:rows])
             full[:, : half + 1] = spectrum
             np.conj(spectrum[:, half - 1 : 0 : -1], out=full[:, half + 1 :])
             spec = self._spec[:rows]
@@ -322,7 +309,7 @@ class _DualBranchOperators:
                     out=spec[:, r : r + width],
                 )
             time = np.fft.irfft(spec, n, axis=1, out=self._time[:rows])
-            out[b0:b1] = time[:, :stride]
+            out[b0 : b0 + rows] = time[:, :stride]
         return out.reshape(-1)[: self.length]
 
 

@@ -23,6 +23,11 @@ _IEEE_FLOAT = 3
 _U32_MAX = 2**32 - 1
 
 
+def _max_rate(bits: int) -> int:
+    """Highest rate whose byte rate fits the 32-bit header field at ``bits``."""
+    return _U32_MAX // (bits // 8)
+
+
 def _read_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
     """The body of each chunk of ``raw``, by tag, as views into ``raw``."""
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -118,12 +123,12 @@ def save_wav(path, x: Signal, bits: int = 24) -> None:
         raise ValueError(f"unsupported bit width {bits}; use 16, 24, 32 or 64")
 
     block_align = bits // 8
-    # the byte rate and the RIFF size are unsigned 32-bit header fields
-    if rate * block_align > _U32_MAX:
+    if rate > _max_rate(bits):
         raise ValueError(
             f"{path}: sample rate {rate} Hz is too high for a {bits}-bit WAV header "
             f"(the byte rate {rate * block_align} exceeds {_U32_MAX})"
         )
+    # the RIFF size is an unsigned 32-bit header field too
     if 36 + len(payload) > _U32_MAX:
         raise ValueError(f"{path}: {arr.size} samples at {bits} bits do not fit in one WAV file")
     header = struct.pack(

@@ -233,21 +233,34 @@ class TestReconstruct:
             (None, "original_len", 0),
             (None, "original_len", 10**9),
             (None, "normalization_scale", -1.0),
+            # the estimate could not be saved at this rate
+            (None, "sample_rate_hz", 0),
+            (None, "sample_rate_hz", -5),
+            (None, "sample_rate_hz", 2**29),
         ],
     )
-    def test_manifest_mistyped_value_reported(self, workspace, capsys, section, key, value):
+    def test_manifest_mistyped_value_reported(
+        self, workspace, capsys, monkeypatch, section, key, value
+    ):
         tmp_path, wav = workspace
         outdir = simulate(tmp_path, wav, tmp_path / "run")
         manifest = read_manifest(outdir / "manifest.json")
         (manifest[section] if section else manifest)[key] = value
         (outdir / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(["reconstruct", str(outdir / "manifest.json")])
-        assert rc == 1
-        err = capsys.readouterr().err
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("a solve ran on a manifest that should have been rejected")
+
+        monkeypatch.setattr(cli, "cva_solve", no_solve)
+        monkeypatch.setattr(cli, "cpa_solve", no_solve)
         dotted = f"{section}.{key}" if section else key
-        assert err.startswith("error:") and f"'{dotted}'" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not (outdir / "xhat.wav").exists()
+        for command, estimate in (("reconstruct", "xhat.wav"), ("baseline", "xhat_baseline.wav")):
+            rc = main([command, str(outdir / "manifest.json")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"'{dotted}'" in err
+            assert len(err.strip().splitlines()) == 1
+            assert not (outdir / estimate).exists()
 
     def test_manifest_table_lists_the_solver_config_fields(self):
         solver = {k.split(".")[1] for k in cli._MANIFEST_TYPES if k.startswith("solver.")}

@@ -15,6 +15,8 @@ from dualquant import (
     pad_to_multiple,
     upsample_adjoint,
 )
+from dualquant.frames import _hop_energy
+from dualquant.signals import _add_circular, _fill_circular, fold_taps
 
 
 class TestSignal:
@@ -238,3 +240,34 @@ def test_export_taps_roundtrip(tmp_path):
     export_taps_csv(b, path)
     loaded = np.array([float(line) for line in path.read_text().splitlines()])
     np.testing.assert_array_equal(loaded, b.taps)
+
+
+class TestCircularHelpers:
+    @pytest.mark.parametrize("dest_size, v_size", [(40, 7), (7, 7), (5, 23), (1, 9), (9, 1)])
+    def test_add_is_the_adjoint_of_fill(self, dest_size, v_size):
+        # fill maps R^v_size to R^dest_size, add maps back: <fill v, u> == <v, add u>
+        rng = np.random.default_rng(dest_size * 100 + v_size)
+        for start in (-3 * v_size - 2, -1, 0, 1, v_size, 5 * v_size + 3):
+            v, u = rng.standard_normal(v_size), rng.standard_normal(dest_size)
+            filled = np.empty(dest_size)
+            _fill_circular(filled, v, start)
+            np.testing.assert_array_equal(filled, v[(start + np.arange(dest_size)) % v_size])
+            added = np.zeros(v_size)
+            _add_circular(added, u, start)
+            assert np.dot(filled, u) == pytest.approx(np.dot(v, added), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "taps, length", [(129, 288768), (1025, 512), (5000, 7), (129, 129), (1, 1)]
+    )
+    def test_fold_taps_equals_the_indexed_sum(self, taps, length):
+        t = np.random.default_rng(taps).standard_normal(taps)
+        want = np.zeros(min(taps, length))
+        np.add.at(want, np.arange(taps) % length, t)
+        assert np.array_equal(fold_taps(t, length), want)
+
+    @pytest.mark.parametrize("hop, window", [(3, 9), (512, 2048), (7, 7), (33, 100), (1, 5)])
+    def test_hop_energy_equals_the_indexed_sum(self, hop, window):
+        g = np.random.default_rng(window).random(window)
+        want = np.zeros(hop)
+        np.add.at(want, np.arange(window) % hop, g**2)
+        assert np.array_equal(_hop_energy(g, hop), want)

@@ -161,6 +161,15 @@ class TestDualBranchOperators:
                 ) / scale
                 assert err < 1e-10
 
+    def test_held_state_does_not_grow_with_length(self):
+        # the pair reads its input through chunk-sized lines, not through
+        # histories as long as the signal
+        def held(length):
+            ops = _DualBranchOperators(length, design_lowpass(4), 4)
+            return sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
+
+        assert held(49152) == held(1155072)
+
     @pytest.mark.parametrize("taps", [129, 1025])
     def test_call_transients_bounded(self, taps):
         # One call of either direction at the hires-cva length holds no more
