@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .signals import _add_circular, _fill_circular, samples_of
+from .signals import _add_circular, _check_finite, _fill_circular, samples_of
 
 __all__ = ["TfFrame", "make_tight_frame", "analyze", "synthesize", "hann_window"]
 
@@ -170,47 +170,67 @@ def _check_out(out, shapes, dtype) -> None:
         )
 
 
+def _rows_per_block(row_len: int) -> int:
+    """Rows of ``row_len`` values in one block of about ``_BLOCK_SAMPLES``
+    values (at least one)."""
+    return max(1, _BLOCK_SAMPLES // row_len)
+
+
 def _block_rows(frame: TfFrame) -> int:
-    """Frames per block of about ``_BLOCK_SAMPLES`` samples."""
-    return min(max(1, _BLOCK_SAMPLES // frame.num_channels), frame.num_frames)
+    """Frames per block: one row of ``M`` samples per frame."""
+    return min(_rows_per_block(frame.num_channels), frame.num_frames)
 
 
-def analyze(frame: TfFrame, x, out=None) -> np.ndarray:
+def _analyze_block(frame: TfFrame, arr: np.ndarray, j0: int, spectra: np.ndarray) -> None:
+    """Frames ``j0 .. j0 + len(spectra)`` of the analysis of ``arr`` into
+    ``spectra``: their segments are windows of one line, read circularly
+    from ``j0 * hop`` and checked for NaN and Inf (every sample is in some
+    segment, since hop <= w), and go through the ``rfft`` straight into
+    ``spectra``."""
+    m, w, hop = frame.num_channels, frame.window.size, frame.hop
+    rows = len(spectra)
+    line = np.empty((rows - 1) * hop + w)
+    _fill_circular(line, arr, j0 * hop)
+    _check_finite(line)
+    segs = as_strided(line, (rows, w), (hop * line.itemsize, line.itemsize), writeable=False)
+    np.fft.rfft(segs * frame._analysis_window, n=m, axis=1, out=spectra)
+    spectra[:, 0] *= 1.0 / math.sqrt(2.0)
+    if m % 2 == 0:
+        spectra[:, m // 2] *= 1.0 / math.sqrt(2.0)
+
+
+def analyze(frame: TfFrame, x, out=None, rows: slice | None = None) -> np.ndarray:
     """Tight-frame analysis coefficients of ``x`` (flat complex array).
 
-    With ``out`` (a C-contiguous complex128 array of ``num_coeffs`` or of
-    ``coeff_shape``) the coefficients are written there and ``out`` is
-    returned.  The window carries the sqrt(2) interior weight, so only the
-    DC and (even ``M``) Nyquist columns are rescaled after the ``rfft``.
-    The windowed segments are formed in blocks of about ``_BLOCK_SAMPLES``
-    samples, from one line read circularly from ``x`` per block, and each
-    block goes through the ``rfft`` straight into its rows of the output.
+    ``rows`` (a slice of frame indices, step 1) selects the block form:
+    only frames ``rows.start .. rows.stop`` are analyzed, into an output of
+    that many rows of ``coeff_shape``; by default every frame is.  With
+    ``out`` (a C-contiguous complex128 array of the output's size, flat or
+    2-D) the coefficients are written there and ``out`` is returned.  The
+    window carries the sqrt(2) interior weight, so only the DC and (even
+    ``M``) Nyquist columns are rescaled after the ``rfft``.  The frames go
+    through the ``rfft`` in blocks of about ``_BLOCK_SAMPLES`` samples,
+    each formed from one line of the samples it reads (see
+    :func:`_analyze_block`); only those samples are checked for NaN and
+    Inf, so a block call does not scan the whole signal.
     """
-    arr = samples_of(x)
+    arr = samples_of(x, check_finite=False)
     if arr.size != frame.signal_len:
         raise ValueError(
             f"signal length {arr.size} does not match frame length {frame.signal_len}"
         )
+    j0, j1, step = (rows or slice(None)).indices(frame.num_frames)
+    if step != 1 or j1 <= j0:
+        raise ValueError(f"rows {rows} select no block of the {frame.num_frames} frames")
+    shape = (j1 - j0, frame.num_channels // 2 + 1)
     if out is None:
-        out = np.empty(frame.num_coeffs, dtype=np.complex128)
+        out = np.empty(math.prod(shape), dtype=np.complex128)
     else:
-        _check_out(out, ((frame.num_coeffs,), frame.coeff_shape), np.complex128)
-    m, w, hop = frame.num_channels, frame.window.size, frame.hop
-    frames = frame.num_frames
-    rows = _block_rows(frame)
-    # a block's segments are windows of one line, read circularly from j0 * hop
-    line = np.empty((rows - 1) * hop + w)
-    segs = sliding_window_view(line, w)[::hop]
-    scratch = np.empty((rows, w))
-    spectra = out.reshape(frame.coeff_shape)
-    for j0 in range(0, frames, rows):
-        j1 = min(j0 + rows, frames)
-        _fill_circular(line, arr, j0 * hop)
-        block = np.multiply(segs[: j1 - j0], frame._analysis_window, out=scratch[: j1 - j0])
-        np.fft.rfft(block, n=m, axis=1, out=spectra[j0:j1])
-    spectra[:, 0] *= 1.0 / math.sqrt(2.0)
-    if m % 2 == 0:
-        spectra[:, m // 2] *= 1.0 / math.sqrt(2.0)
+        _check_out(out, ((math.prod(shape),), shape), np.complex128)
+    spectra = out.reshape(shape)
+    block = _block_rows(frame)
+    for r0 in range(0, len(spectra), block):
+        _analyze_block(frame, arr, j0 + r0, spectra[r0 : r0 + block])
     return out
 
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-def _as_samples(values) -> np.ndarray:
+def _as_samples(values, check_finite: bool = True) -> np.ndarray:
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise ValueError("signal samples must be real-valued")
@@ -39,16 +39,26 @@ def _as_samples(values) -> np.ndarray:
         raise ValueError(f"expected a 1-D sample array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("signal is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("signal contains NaN or Inf samples")
+    if check_finite:
+        _check_finite(arr)
     return arr
 
 
-def samples_of(x) -> np.ndarray:
-    """Samples of ``x``, which may be a Signal or any 1-D array-like."""
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("signal contains NaN or Inf samples")
+
+
+def samples_of(x, check_finite: bool = True) -> np.ndarray:
+    """Samples of ``x``, which may be a Signal or any 1-D array-like.
+
+    With ``check_finite`` false an array is not scanned for NaN or Inf; a
+    caller that reads it in blocks checks each block it reads instead
+    (:func:`_check_finite`).
+    """
     if isinstance(x, Signal):
         return x.samples
-    return _as_samples(x)
+    return _as_samples(x, check_finite)
 
 
 def _rewrap(template, samples: np.ndarray, sample_rate_hz: int | None = None):

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acquisition import AcquisitionModel, sdr
-from .frames import TfFrame, analyze, synthesize
+from .frames import TfFrame, _block_rows, _rows_per_block, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
 from .signals import FirFilter, Signal, _fill_circular, fold_taps, samples_of
 
@@ -133,16 +133,13 @@ class SolverRun:
     feasibility_gap: FeasibilityGap
 
 
-# Coefficients per block of the moduli that clip_complex and _weighted_l1
-# form in their one scratch array (31 frames of 1025 bins).
-_MODULUS_SAMPLES = 1 << 15
-
-
 def _moduli(c: np.ndarray):
     """Yield ``(rows, |c[rows]|)`` over blocks of rows of ``c`` (slices of
-    its first axis) of about ``_MODULUS_SAMPLES`` entries, each modulus
-    block formed in the same scratch array."""
-    rows = max(1, _MODULUS_SAMPLES // max(1, math.prod(c.shape[1:])))
+    its first axis) of about ``frames._BLOCK_SAMPLES`` entries, each
+    modulus block formed in the same scratch array.  A row of frame
+    coefficients has fewer entries than a frame has channels, so a block
+    of frames from :func:`analyze` is one modulus block."""
+    rows = _rows_per_block(math.prod(c.shape[1:]))
     scratch = np.empty((min(rows, len(c)), *c.shape[1:]))
     for r0 in range(0, len(c), rows):
         part = slice(r0, r0 + rows)
@@ -162,25 +159,40 @@ def clip_complex(c, lam, out=None) -> np.ndarray:
     moduli are formed a block of rows at a time, so a call holds no
     scratch the size of ``c``.
     """
-    if np.any(np.asarray(lam) <= 0):
+    c, lam = np.asarray(c), np.asarray(lam, dtype=np.float64)
+    if lam.size and lam.min() <= 0:
         raise ValueError("lam must be positive")
-    c, lam = np.broadcast_arrays(np.asarray(c), np.asarray(lam, dtype=np.float64))
+    # a radius per trailing position (one per bin, as the solvers pass it
+    # once per block of frames) applies to every block of rows as it is,
+    # with no broadcast per call; any other shape is broadcast against c
+    per_row = lam.ndim < c.ndim and lam.shape == c.shape[c.ndim - lam.ndim :]
+    if not per_row:
+        c, lam = np.broadcast_arrays(c, lam)
     if out is None:
         out = np.empty(c.shape, dtype=np.result_type(c, lam))
     for part, scale in _moduli(c):
-        np.maximum(scale, lam[part], out=scale)
-        np.divide(lam[part], scale, out=scale)
+        radius = lam if per_row else lam[part]
+        np.maximum(scale, radius, out=scale)
+        np.divide(radius, scale, out=scale)
         np.multiply(c[part], scale, out=out[part])
     return out
 
 
-def _weighted_l1(c: np.ndarray, frame: TfFrame) -> float:
-    """``|A_full x|_1`` from the half-spectrum coefficients ``c = A x``."""
-    c = c.reshape(frame.coeff_shape)
-    sums = np.empty(len(c))
+def _weighted_l1(c: np.ndarray, frame: TfFrame, out: np.ndarray) -> None:
+    """Per-frame terms of ``|A_full x|_1`` from rows ``c`` of the
+    half-spectrum coefficients of ``A x``: ``out[j] = sum(weight *
+    |c[j]|)``, so the terms of every frame sum to the l1 norm."""
     for part, moduli in _moduli(c):
-        np.matmul(moduli, frame.coeff_weight, out=sums[part])
-    return float(np.sum(sums))
+        np.matmul(moduli, frame.coeff_weight, out=out[part])
+
+
+def _frame_blocks(frame: TfFrame, block: np.ndarray):
+    """Yield ``(rows, scratch)`` over the blocks of frames that
+    :func:`analyze` runs at once: the slice of frame indices and the
+    leading rows of ``block`` (one block of coefficients) that hold them."""
+    for j0 in range(0, frame.num_frames, len(block)):
+        rows = slice(j0, min(j0 + len(block), frame.num_frames))
+        yield rows, block[: rows.stop - j0]
 
 
 def default_steps(b: FirFilter) -> tuple[float, float]:
@@ -447,10 +459,12 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
     """Condat-Vu iteration from ``x``, which it updates in place.
 
     The duals are kept divided by sigma (see the module docstring).  Every
-    coefficient array is allocated here, once per run, and updated in
-    place; with ``rho == 1`` the l1 dual and the analysis buffer swap
-    instead of being copied, and so do the coarse dual and the look-ahead
-    buffer.
+    array is allocated here, once per run, and updated in place; with
+    ``rho == 1`` the coarse dual and the look-ahead buffer swap instead of
+    being copied.  The analysis of the look-ahead point, the l1 dual update
+    and the objective run a block of frames at a time through one block of
+    coefficients, so the run holds two coefficient arrays: the l1 dual and
+    ``A x``.
     """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
     shape = frame.coeff_shape
@@ -458,11 +472,13 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
     y1 = np.zeros(shape, dtype=np.complex128)
     y2 = np.zeros(ops.short_len)
     y3 = np.zeros(ops.length)
-    # Analysis of the look-ahead point, then the l1 prox argument.
-    a = np.empty(shape, dtype=np.complex128)
     # Coefficients of the running iterate, updated through the same linear
     # combinations as the iterate itself; used for the objective trace.
     ax = np.empty(shape, dtype=np.complex128)
+    # One block of the analysis of the look-ahead point, then of the l1
+    # prox argument; and the objective's per-frame terms.
+    block = np.empty((_block_rows(frame), shape[1]), dtype=np.complex128)
+    l1_terms = np.empty(frame.num_frames)
     grad = np.empty(ops.length)
     # The look-ahead point, then the coarse-branch prox argument.
     lookahead = np.empty(ops.length)
@@ -478,21 +494,27 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         lookahead += x
         step = np.multiply(grad, -rho * tau * sigma, out=grad)
 
-        analyze(frame, lookahead, out=a)
-        # x moves by (rho/2) * (lookahead - x), and so does A x, formed in
-        # place as (rho/2) * ((2 - rho)/rho * A x + a).  The duals start at
-        # zero, so the first look-ahead point is x itself and a is A x.
-        if first:
-            ax[...] = a
-            first = False
-        else:
-            if rho != 1.0:
-                ax *= (2.0 - rho) / rho
-            ax += a
-            ax *= 0.5 * rho
-        a += y1
-        clip_complex(a, radius, out=a)
-        y1, a = _relax(y1, a, rho)
+        for rows, a in _frame_blocks(frame, block):
+            analyze(frame, lookahead, out=a, rows=rows)
+            # x moves by (rho/2) * (lookahead - x), and so does A x, formed
+            # in place as (rho/2) * ((2 - rho)/rho * A x + a).  The duals
+            # start at zero, so the first look-ahead point is x itself and
+            # a is A x.
+            ax_rows = ax[rows]
+            if first:
+                ax_rows[...] = a
+            else:
+                if rho != 1.0:
+                    ax_rows *= (2.0 - rho) / rho
+                ax_rows += a
+                ax_rows *= 0.5 * rho
+            _weighted_l1(ax_rows, frame, out=l1_terms[rows])
+            a += y1[rows]
+            if rho == 1.0:
+                clip_complex(a, radius, out=y1[rows])
+            else:
+                _relax(y1[rows], clip_complex(a, radius, out=a), rho)
+        first = False
         p2 = ops.down_filter(lookahead)
         p2 += y2
         # the buffer _relax frees is dropped: down_filter returns a new one
@@ -501,7 +523,7 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set), rho)
 
         x += step
-        yield x, _weighted_l1(ax, frame)
+        yield x, float(np.sum(l1_terms))
 
 
 def cpa_solve(
@@ -539,22 +561,27 @@ def cpa_solve_box(
 def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
     """Chambolle-Pock iteration from ``x``.
 
-    The dual, the analysis buffer, the primal step and the look-ahead point
-    are allocated once per run; each iterate is the new array the box
-    projection returns.
+    The dual, one block of coefficients, the primal step and the look-ahead
+    point are allocated once per run; each iterate is the new array the
+    box projection returns.  Both analyses run a block of frames at a
+    time: the dual is updated block by block, and the objective sums
+    per-frame terms of ``A x`` without holding it, so the run holds one
+    coefficient array.
     """
     tau, sigma = cfg.tau, cfg.sigma
     shape = frame.coeff_shape
     radius = cfg.lam * frame.coeff_weight
     u = np.zeros(shape, dtype=np.complex128)
-    a = np.empty(shape, dtype=np.complex128)
+    block = np.empty((_block_rows(frame), shape[1]), dtype=np.complex128)
+    l1_terms = np.empty(frame.num_frames)
     x_bar = x.copy()
     step = np.empty_like(x)
     while True:
-        analyze(frame, x_bar, out=a)
-        a *= sigma
-        a += u
-        clip_complex(a, radius, out=u)
+        for rows, a in _frame_blocks(frame, block):
+            analyze(frame, x_bar, out=a, rows=rows)
+            a *= sigma
+            a += u[rows]
+            clip_complex(a, radius, out=u[rows])
         # x_next = project(box, x - tau * A^* u); x_bar = 2 * x_next - x
         synthesize(frame, u, out=step)
         step *= -tau
@@ -563,4 +590,7 @@ def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
         np.multiply(x_next, 2.0, out=x_bar)
         x_bar -= x
         x = x_next
-        yield x, _weighted_l1(analyze(frame, x, out=a), frame)
+        for rows, a in _frame_blocks(frame, block):
+            analyze(frame, x, out=a, rows=rows)
+            _weighted_l1(a, frame, out=l1_terms[rows])
+        yield x, float(np.sum(l1_terms))

@@ -206,6 +206,73 @@ class TestAnalyzeSynthesize:
         )
 
 
+class TestBlockForm:
+    """``analyze(.., rows=slice)`` analyzes a block of frames: the rows of
+    the whole-signal call, bit for bit."""
+
+    # (window, hop, channels, length): the hires frame, the 64-frame grid
+    # frame and two small frames whose windows are not whole hops, one with
+    # an odd channel count; the small ones get blocks of 5 frames
+    CASES = [(2048, 512, 2048, 288768), (2048, 512, 2048, 32768), (7, 3, 9, 36), (9, 3, 12, 36)]
+
+    @staticmethod
+    def _frame(case, monkeypatch):
+        fr = make_tight_frame(*case)
+        if frames._block_rows(fr) == fr.num_frames:
+            monkeypatch.setattr(frames, "_BLOCK_SAMPLES", 5 * fr.num_channels)
+        return fr
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_blocks_equal_rows_of_the_whole_call(self, case, monkeypatch):
+        fr = self._frame(case, monkeypatch)
+        x = np.random.default_rng(case[0]).standard_normal(fr.signal_len)
+        whole = analyze(fr, x).reshape(fr.coeff_shape)
+        b, last = frames._block_rows(fr), fr.num_frames
+        # the first block, a middle one, the last (partial, its windows wrap
+        # round the end of the signal) and one across a block boundary
+        partial = last % b or b
+        middle, across = slice(b, 2 * b), slice(b - 2, b + 3)
+        for rows in (slice(0, b), middle, slice(last - partial, last), across):
+            block = analyze(fr, x, rows=rows)
+            assert block.shape == ((rows.stop - rows.start) * fr.coeff_shape[1],)
+            np.testing.assert_array_equal(block.reshape(-1, fr.coeff_shape[1]), whole[rows])
+            out = np.full((rows.stop - rows.start, fr.coeff_shape[1]), np.nan, dtype=complex)
+            assert analyze(fr, Signal(x, 16000), out=out, rows=rows) is out
+            np.testing.assert_array_equal(out, whole[rows])
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_nan_in_the_last_hop_rejected(self, case, monkeypatch):
+        # only the frames whose windows wrap round the end read the last hop
+        fr = self._frame(case, monkeypatch)
+        x = np.zeros(fr.signal_len)
+        x[-1 - fr.hop // 2] = np.nan
+        last = slice(fr.num_frames - 1, fr.num_frames)
+        for call in (lambda: analyze(fr, x), lambda: analyze(fr, x, rows=last)):
+            with pytest.raises(ValueError, match="signal contains NaN or Inf samples"):
+                call()
+        x[-1 - fr.hop // 2] = np.inf
+        with pytest.raises(ValueError, match="signal contains NaN or Inf samples"):
+            analyze(fr, x, rows=last)
+
+    def test_block_call_reads_only_its_samples(self):
+        # the first block of the hires frame does not reach the last hop, so
+        # a NaN there is not read (nor checked) by that block
+        fr = make_tight_frame(2048, 512, 2048, 288768)
+        x = np.zeros(fr.signal_len)
+        x[-1] = np.nan
+        first = analyze(fr, x, rows=slice(0, frames._block_rows(fr)))
+        assert np.all(first == 0)
+
+    def test_empty_or_strided_rows_rejected(self):
+        fr = make_tight_frame(8, 4, 8, 32)
+        x = np.zeros(fr.signal_len)
+        for rows in (slice(3, 3), slice(5, 2), slice(0, 8, 2), slice(8, None)):
+            with pytest.raises(ValueError, match="select no block"):
+                analyze(fr, x, rows=rows)
+        with pytest.raises(ValueError, match="out must be"):
+            analyze(fr, x, out=np.empty(fr.num_coeffs, complex), rows=slice(0, 2))
+
+
 class TestSpectralBehavior:
     def test_sinusoid_concentrates_in_matching_channels(self):
         # rectangular, non-overlapping frame: windowed DFT of each block

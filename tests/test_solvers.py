@@ -32,6 +32,7 @@ from dualquant import (
     simulate_acquisition,
     upsample_adjoint,
 )
+from dualquant import frames
 from dualquant.solvers import _DualBranchOperators, _cpa_steps, _cva_steps, _weighted_l1
 
 L = 4
@@ -66,6 +67,22 @@ class TestClipComplex:
     def test_nonpositive_lam_rejected(self):
         with pytest.raises(ValueError):
             clip_complex(np.array([1.0]), 0.0)
+        with pytest.raises(ValueError):
+            clip_complex(np.ones((2, 3)), np.array([1.0, -1.0, 1.0]))
+
+    def test_radius_shapes_broadcast(self):
+        # a radius per bin, per coefficient, per row or a scalar; and a radius
+        # that broadcasts the coefficients to a larger shape
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal((70, 5)) + 1j * rng.standard_normal((70, 5))
+        for lam in (rng.uniform(0.2, 2, 5), rng.uniform(0.2, 2, (70, 5)),
+                    rng.uniform(0.2, 2, (70, 1)), rng.uniform(0.2, 2, (1, 5)), 0.7):
+            want = c * np.minimum(1.0, lam / np.maximum(np.abs(c), 1e-300))
+            np.testing.assert_allclose(clip_complex(c, lam), want, rtol=1e-15, atol=0)
+        column = c[:, :1]
+        lam = rng.uniform(0.2, 2, 5)
+        want = column * np.minimum(1.0, lam / np.abs(column))
+        np.testing.assert_allclose(clip_complex(column, lam), want, rtol=1e-15, atol=0)
 
     @given(
         re=arrays(np.float64, 32, elements=st.floats(-5, 5, width=64)),
@@ -256,19 +273,19 @@ class TestBlockScratch:
         coeffs = coeffs.reshape(frame.coeff_shape)
         radius = 0.5 * np.median(np.abs(coeffs)) * frame.coeff_weight
         x = np.random.default_rng(2).standard_normal(length)
+        terms = np.empty(frame.num_frames)
         calls = {
             "analyze": (lambda: analyze(frame, x), coeffs.nbytes),
             "clip_complex": (lambda: clip_complex(coeffs, radius), coeffs.nbytes),
-            "_weighted_l1": (lambda: _weighted_l1(coeffs, frame), 0),
+            "_weighted_l1": (lambda: _weighted_l1(coeffs, frame, terms), 0),
         }
         call, output_bytes = calls[name]
         assert _peak_bytes(call) <= output_bytes + (1 << 20)
 
-    @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
-    def test_step_peaks_at_half_a_coefficient_array(self, solver, rho):
-        # Steps 3-5 of either iteration allocate at most half a coefficient
-        # array above the state held after step 2.  The signal has 256
-        # frames, so that a block of 32 frames is a small part of it.
+    @staticmethod
+    def _steps(solver, rho):
+        """A step generator of either solver on a 256-frame signal, so that
+        a block of 32 frames is a small part of it."""
         from dualquant.experiment import synth_corpus
 
         length = 131072
@@ -278,16 +295,23 @@ class TestBlockScratch:
         (_, x), = synth_corpus(1, 5, length / 16000, 16000)
         y1, y2 = simulate_acquisition(x, model)
         coarse_set = consistency_set(y2.samples, model.coarse)
+        if solver == "cva":
+            cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
+            ops = _DualBranchOperators(length, fir, 4)
+            fine_set = consistency_set(y1.samples, model.fine)
+            steps = _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
+        else:
+            cfg = SolverConfig(1.0, 1.0, lam=model.coarse.step / 2)
+            steps = _cpa_steps(y2.samples.copy(), frame, coarse_set, cfg)
+        return steps, frame
+
+    @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
+    def test_step_peaks_at_half_a_coefficient_array(self, solver, rho):
+        # Steps 3-5 of either iteration allocate at most half a coefficient
+        # array above the state held after step 2.
+        steps, frame = self._steps(solver, rho)
         tracemalloc.start()
         try:
-            if solver == "cva":
-                cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
-                ops = _DualBranchOperators(length, fir, 4)
-                fine_set = consistency_set(y1.samples, model.fine)
-                steps = _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
-            else:
-                cfg = SolverConfig(1.0, 1.0, lam=model.coarse.step / 2)
-                steps = _cpa_steps(y2.samples.copy(), frame, coarse_set, cfg)
             next(steps)
             next(steps)
             held, _ = tracemalloc.get_traced_memory()
@@ -299,6 +323,69 @@ class TestBlockScratch:
             tracemalloc.stop()
         coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
         assert peak - held <= 0.5 * coeff_bytes
+
+    @pytest.mark.parametrize(
+        "solver, rho, arrays, signals",
+        # the l1 dual and A x, or the dual alone; the coarse dual, the
+        # gradient and the look-ahead point plus the fine dual (L / 4), or
+        # the look-ahead point, the primal step and the iterate
+        [("cva", 1.0, 2, 3.25), ("cva", 1.5, 2, 3.25), ("cpa", 1.0, 1, 3.0)],
+    )
+    def test_step_holds_its_coefficient_arrays_plus_one_mib(self, solver, rho, arrays, signals):
+        # the analysis and the l1 dual update run a block of frames at a
+        # time, so no coefficient array beyond the state is held
+        steps, frame = self._steps(solver, rho)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            next(steps)
+            next(steps)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
+        assert held <= arrays * coeff_bytes + signals * frame.signal_len * 8 + (1 << 20)
+
+
+class TestSeveralBlocks:
+    """The golden input has 16 frames, one block; here the block loops of
+    both solvers cross block boundaries."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from dualquant.experiment import synth_corpus
+
+        # 100 frames: blocks of 32, 32, 32 and a last one of 4 that wraps
+        length = 100 * 512
+        frame = make_tight_frame(2048, 512, 2048, length)
+        fir = design_lowpass(4)
+        model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+        (_, x), = synth_corpus(1, 11, length / 16000, 16000)
+        y1, y2 = simulate_acquisition(x, model)
+        return frame, model, x, y1, y2
+
+    @staticmethod
+    def _runs(problem):
+        frame, model, x, y1, y2 = problem
+        lam = model.coarse.step / 2
+        tau, sigma = default_steps(model.filter)
+        runs = [
+            cva_solve(y1, y2, model, frame, SolverConfig(tau, sigma, rho=rho, lam=lam, max_iters=8),
+                      reference=x)
+            for rho in (1.0, 1.5)
+        ]
+        cfg = SolverConfig(1.0, 1.0, lam=lam, max_iters=8)
+        return runs + [cpa_solve(y2, model.coarse, frame, cfg, reference=x)]
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_traces_match_the_default_blocks(self, problem, rows, monkeypatch):
+        frame = problem[0]
+        default = self._runs(problem)
+        assert frames._block_rows(frame) * 3 < frame.num_frames
+        monkeypatch.setattr(frames, "_BLOCK_SAMPLES", rows * frame.num_channels)
+        for got, want in zip(self._runs(problem), default):
+            np.testing.assert_allclose(got.sdr_trace, want.sdr_trace, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-12)
 
 
 class TestDefaultSteps:

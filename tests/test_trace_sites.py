@@ -87,8 +87,9 @@ def test_one_iteration_cva_solve_reaches_every_split_site(monkeypatch):
 
 
 def test_one_iteration_cva_solve_clips_and_synthesizes_once(monkeypatch):
-    # one call per iteration, so that the per-call medians of these sites
-    # are per-iteration costs
+    # a 32-frame signal is one block of frames, so an iteration clips once;
+    # on longer signals clip_complex runs once per block (its per-call
+    # median is a per-block cost) and synthesize once per iteration
     calls = _one_iteration_cva_calls(monkeypatch)
     assert calls["solvers.clip_complex"] == 1
     assert calls["frames.synthesize"] == 1
