@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .signals import _add_circular, _check_finite, _fill_circular, samples_of
+from .signals import Signal, _add_circular, _as_samples, _check_finite, _fill_circular
 
 __all__ = ["TfFrame", "make_tight_frame", "analyze", "synthesize", "hann_window"]
 
@@ -181,6 +181,14 @@ def _block_rows(frame: TfFrame) -> int:
     return min(_rows_per_block(frame.num_channels), frame.num_frames)
 
 
+def _frame_blocks(frame: TfFrame):
+    """Yield the blocks of frames, as slices of frame indices of
+    ``_block_rows(frame)`` frames (the last may be shorter), in order."""
+    rows = _block_rows(frame)
+    for j0 in range(0, frame.num_frames, rows):
+        yield slice(j0, min(j0 + rows, frame.num_frames))
+
+
 def _analyze_block(frame: TfFrame, arr: np.ndarray, j0: int, spectra: np.ndarray) -> None:
     """Frames ``j0 .. j0 + len(spectra)`` of the analysis of ``arr`` into
     ``spectra``: their segments are windows of one line, read circularly
@@ -203,18 +211,19 @@ def analyze(frame: TfFrame, x, out=None, rows: slice | None = None) -> np.ndarra
     """Tight-frame analysis coefficients of ``x`` (flat complex array).
 
     ``rows`` (a slice of frame indices, step 1) selects the block form:
-    only frames ``rows.start .. rows.stop`` are analyzed, into an output of
-    that many rows of ``coeff_shape``; by default every frame is.  With
-    ``out`` (a C-contiguous complex128 array of the output's size, flat or
-    2-D) the coefficients are written there and ``out`` is returned.  The
-    window carries the sqrt(2) interior weight, so only the DC and (even
-    ``M``) Nyquist columns are rescaled after the ``rfft``.  The frames go
-    through the ``rfft`` in blocks of about ``_BLOCK_SAMPLES`` samples,
-    each formed from one line of the samples it reads (see
-    :func:`_analyze_block`); only those samples are checked for NaN and
-    Inf, so a block call does not scan the whole signal.
+    only frames ``rows.start .. rows.stop`` are analyzed, in one pass, into
+    an output of that many rows of ``coeff_shape``; its scratch is the
+    size of that output.  By default every frame is, one block of
+    :func:`_frame_blocks` at a time.  With ``out`` (a C-contiguous
+    complex128 array of the output's size, flat or 2-D) the coefficients
+    are written there and ``out`` is returned.  The window carries the
+    sqrt(2) interior weight, so only the DC and (even ``M``) Nyquist
+    columns are rescaled after the ``rfft``.  Each block is formed from
+    one line of the samples it reads (see :func:`_analyze_block`); only
+    those samples are checked for NaN and Inf, so a block call does not
+    scan the whole signal.
     """
-    arr = samples_of(x, check_finite=False)
+    arr = x.samples if isinstance(x, Signal) else _as_samples(x, check_finite=False)
     if arr.size != frame.signal_len:
         raise ValueError(
             f"signal length {arr.size} does not match frame length {frame.signal_len}"
@@ -228,9 +237,8 @@ def analyze(frame: TfFrame, x, out=None, rows: slice | None = None) -> np.ndarra
     else:
         _check_out(out, ((math.prod(shape),), shape), np.complex128)
     spectra = out.reshape(shape)
-    block = _block_rows(frame)
-    for r0 in range(0, len(spectra), block):
-        _analyze_block(frame, arr, j0 + r0, spectra[r0 : r0 + block])
+    for part in _frame_blocks(frame) if rows is None else (slice(j0, j1),):
+        _analyze_block(frame, arr, part.start, spectra[part.start - j0 : part.stop - j0])
     return out
 
 
@@ -264,7 +272,6 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
         _check_out(out, ((length,),), np.float64)
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
     c = c.reshape(frame.coeff_shape)
-    frames = frame.num_frames
     rows, span = _block_rows(frame), -(-w // hop)
     scratch = np.empty((rows, m))
     excess = (math.sqrt(2.0) - 1.0) / m
@@ -274,8 +281,8 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     line = np.empty((rows + span - 1) * hop)
     blocks = line.reshape(-1, hop)
     out[:] = 0.0
-    for j0 in range(0, frames, rows):
-        j1 = min(j0 + rows, frames)
+    for part in _frame_blocks(frame):
+        j0, j1 = part.start, part.stop
         segs = np.fft.irfft(c[j0:j1], n=m, axis=1, out=scratch[: j1 - j0])[:, :w]
         dc = c[j0:j1, :1].real * excess
         if m % 2 == 0:

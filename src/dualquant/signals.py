@@ -49,16 +49,11 @@ def _check_finite(arr: np.ndarray) -> None:
         raise ValueError("signal contains NaN or Inf samples")
 
 
-def samples_of(x, check_finite: bool = True) -> np.ndarray:
-    """Samples of ``x``, which may be a Signal or any 1-D array-like.
-
-    With ``check_finite`` false an array is not scanned for NaN or Inf; a
-    caller that reads it in blocks checks each block it reads instead
-    (:func:`_check_finite`).
-    """
+def samples_of(x) -> np.ndarray:
+    """Samples of ``x``, which may be a Signal or any 1-D array-like."""
     if isinstance(x, Signal):
         return x.samples
-    return _as_samples(x, check_finite)
+    return _as_samples(x)
 
 
 def _rewrap(template, samples: np.ndarray, sample_rate_hz: int | None = None):

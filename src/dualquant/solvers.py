@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acquisition import AcquisitionModel, sdr
-from .frames import TfFrame, _block_rows, _rows_per_block, analyze, synthesize
+from .frames import TfFrame, _block_rows, _frame_blocks, _rows_per_block, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
 from .signals import FirFilter, Signal, _fill_circular, fold_taps, samples_of
 
@@ -159,21 +159,14 @@ def clip_complex(c, lam, out=None) -> np.ndarray:
     moduli are formed a block of rows at a time, so a call holds no
     scratch the size of ``c``.
     """
-    c, lam = np.asarray(c), np.asarray(lam, dtype=np.float64)
-    if lam.size and lam.min() <= 0:
+    if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
-    # a radius per trailing position (one per bin, as the solvers pass it
-    # once per block of frames) applies to every block of rows as it is,
-    # with no broadcast per call; any other shape is broadcast against c
-    per_row = lam.ndim < c.ndim and lam.shape == c.shape[c.ndim - lam.ndim :]
-    if not per_row:
-        c, lam = np.broadcast_arrays(c, lam)
+    c, lam = np.broadcast_arrays(np.asarray(c), np.asarray(lam, dtype=np.float64))
     if out is None:
         out = np.empty(c.shape, dtype=np.result_type(c, lam))
     for part, scale in _moduli(c):
-        radius = lam if per_row else lam[part]
-        np.maximum(scale, radius, out=scale)
-        np.divide(radius, scale, out=scale)
+        np.maximum(scale, lam[part], out=scale)
+        np.divide(lam[part], scale, out=scale)
         np.multiply(c[part], scale, out=out[part])
     return out
 
@@ -184,15 +177,6 @@ def _weighted_l1(c: np.ndarray, frame: TfFrame, out: np.ndarray) -> None:
     |c[j]|)``, so the terms of every frame sum to the l1 norm."""
     for part, moduli in _moduli(c):
         np.matmul(moduli, frame.coeff_weight, out=out[part])
-
-
-def _frame_blocks(frame: TfFrame, block: np.ndarray):
-    """Yield ``(rows, scratch)`` over the blocks of frames that
-    :func:`analyze` runs at once: the slice of frame indices and the
-    leading rows of ``block`` (one block of coefficients) that hold them."""
-    for j0 in range(0, frame.num_frames, len(block)):
-        rows = slice(j0, min(j0 + len(block), frame.num_frames))
-        yield rows, block[: rows.stop - j0]
 
 
 def default_steps(b: FirFilter) -> tuple[float, float]:
@@ -494,8 +478,8 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         lookahead += x
         step = np.multiply(grad, -rho * tau * sigma, out=grad)
 
-        for rows, a in _frame_blocks(frame, block):
-            analyze(frame, lookahead, out=a, rows=rows)
+        for rows in _frame_blocks(frame):
+            a = analyze(frame, lookahead, out=block[: rows.stop - rows.start], rows=rows)
             # x moves by (rho/2) * (lookahead - x), and so does A x, formed
             # in place as (rho/2) * ((2 - rho)/rho * A x + a).  The duals
             # start at zero, so the first look-ahead point is x itself and
@@ -577,8 +561,8 @@ def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
     x_bar = x.copy()
     step = np.empty_like(x)
     while True:
-        for rows, a in _frame_blocks(frame, block):
-            analyze(frame, x_bar, out=a, rows=rows)
+        for rows in _frame_blocks(frame):
+            a = analyze(frame, x_bar, out=block[: rows.stop - rows.start], rows=rows)
             a *= sigma
             a += u[rows]
             clip_complex(a, radius, out=u[rows])
@@ -590,7 +574,7 @@ def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
         np.multiply(x_next, 2.0, out=x_bar)
         x_bar -= x
         x = x_next
-        for rows, a in _frame_blocks(frame, block):
-            analyze(frame, x, out=a, rows=rows)
+        for rows in _frame_blocks(frame):
+            a = analyze(frame, x, out=block[: rows.stop - rows.start], rows=rows)
             _weighted_l1(a, frame, out=l1_terms[rows])
         yield x, float(np.sum(l1_terms))
