@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from itertools import count, repeat
 from pathlib import Path
 
@@ -21,9 +22,6 @@ import numpy as np
 
 from .acquisition import AcquisitionModel, PEAK_TARGET, sdr, simulate_acquisition
 from .experiment import (
-    _INT,
-    _NUMBER,
-    _TEXT,
     ExperimentConfig,
     _check_type,
     _write_csv,
@@ -40,7 +38,7 @@ from .frames import make_tight_frame
 from .quantizers import Quantizer
 from .signals import Signal, export_taps_csv, pad_to_multiple
 from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve, default_steps
-from .wavio import _max_rate, load_wav, save_wav
+from .wavio import _SAVED_FORMATS, _max_rate, load_wav, save_wav
 
 _ESTIMATE_BITS = 64  # bits per sample of the estimate reconstruct and baseline write
 
@@ -129,29 +127,26 @@ def cmd_simulate(args) -> int:
 
 
 # Value type of each manifest key, dotted for section members; the solver
-# keys are the SolverConfig fields.  Every key is required but the solver
-# settings that SolverConfig has a default for.
+# keys and their types are the SolverConfig fields.  Every key is required
+# but the solver settings that SolverConfig has a default for.
 _MANIFEST_TYPES = {
-    "k": _INT,
-    "coarse_bits": _INT,
-    "fine_bits": _INT,
-    "filter.num_taps": _INT,
-    "filter.beta": _NUMBER,
-    "filter.sha256": _TEXT,
-    "frame.window_len": _INT,
-    "frame.hop": _INT,
-    "frame.num_channels": _INT,
-    "sample_rate_hz": _INT,
-    "original_len": _INT,
-    "padded_len": _INT,
-    "normalization_scale": _NUMBER,
-    "solver.tau": _NUMBER,
-    "solver.sigma": _NUMBER,
-    "solver.rho": _NUMBER,
-    "solver.lam": _NUMBER,
-    "solver.max_iters": _INT,
-    "files.y1": _TEXT,
-    "files.y2": _TEXT,
+    "k": int,
+    "coarse_bits": int,
+    "fine_bits": int,
+    "filter.num_taps": int,
+    "filter.beta": float,
+    "filter.sha256": str,
+    "frame.window_len": int,
+    "frame.hop": int,
+    "frame.num_channels": int,
+    "sample_rate_hz": int,
+    "original_len": int,
+    "padded_len": int,
+    "normalization_scale": float,
+    **{f"solver.{name}": hint for name, hint in typing.get_type_hints(SolverConfig).items()},
+    "files.y1": str,
+    "files.y2": str,
+    "files.reference": str,
 }
 _OPTIONAL_KEYS = {
     f"solver.{f.name}"
@@ -164,7 +159,7 @@ def _check_manifest(manifest, path) -> None:
     """Raise ``ValueError`` naming the first missing, unknown, mistyped or out-of-range key."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
-    for dotted, types in _MANIFEST_TYPES.items():
+    for dotted, hint in _MANIFEST_TYPES.items():
         section, _, name = dotted.rpartition(".")
         holder = manifest
         if section:
@@ -174,7 +169,7 @@ def _check_manifest(manifest, path) -> None:
             if not isinstance(holder, dict):
                 raise ValueError(f"{path}: manifest key {section!r} is not an object")
         if name in holder:
-            _check_type(f"{path}: manifest key {dotted!r}", holder[name], types)
+            _check_type(f"{path}: manifest key {dotted!r}", holder[name], hint)
         elif dotted not in _OPTIONAL_KEYS:
             raise ValueError(f"{path}: manifest lacks key {dotted!r}")
     unknown = sorted(n for n in manifest["solver"] if f"solver.{n}" not in _MANIFEST_TYPES)
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1337)
     p.add_argument("--duration", type=float, default=2.0)
     p.add_argument("--rate", type=int, default=16000)
-    p.add_argument("--bits", type=int, default=64, choices=(16, 24, 32, 64))
+    p.add_argument("--bits", type=int, default=64, choices=sorted(_SAVED_FORMATS))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="produce observations y1/y2 + manifest")

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,53 +47,32 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Value types of JSON settings (grid configs, run manifests).
-_INT, _NUMBER, _TEXT, _FLAG = (int,), (int, float), (str,), (bool,)
-_TYPE_NAMES = {
-    _INT: "an integer",
-    _NUMBER: "a finite number",
-    _TEXT: "a string",
-    _FLAG: "true or false",
-}
+# What a JSON setting must be for each declared type of a settings field.
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
 
 
-def _check_type(label: str, value, types) -> None:
-    """Raise ``ValueError`` naming ``label`` unless ``value`` has ``types``,
-    one of the tuples above."""
+def _check_type(label: str, value, hint) -> None:
+    """Raise ``ValueError`` naming ``label`` unless ``value`` has the
+    declared type ``hint``: a key of ``_TYPE_NAMES``, a ``list`` of one, or
+    one ``| None``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{label} must be a list, got {value!r}")
+        for item in value:
+            _check_type(f"each entry of {label}", item, args[0])
+    elif type(None) in args:
+        if value is not None:
+            (inner,) = set(args) - {type(None)}
+            _check_type(label, value, inner)
     # bool is an int subclass, but true/false is no count or step size;
     # JSON NaN and Infinity pass every ``<=`` check of a config
-    if (
-        isinstance(value, bool) != (types is _FLAG)
-        or not isinstance(value, types)
-        or (types is _NUMBER and not math.isfinite(value))
+    elif (
+        isinstance(value, bool) != (hint is bool)
+        or not isinstance(value, (int, float) if hint is float else hint)
+        or (hint is float and not math.isfinite(value))
     ):
-        raise ValueError(f"{label} must be {_TYPE_NAMES[types]}, got {value!r}")
-
-
-# Value type of each config key but lambda_table; the keys of _CONFIG_LISTS
-# hold lists of that type, and lam may also be null.
-_CONFIG_TYPES = {
-    "signals": _TEXT,
-    "synth_count": _INT,
-    "synth_seed": _INT,
-    "synth_duration_s": _NUMBER,
-    "synth_rate_hz": _INT,
-    "coarse_bits": _INT,
-    "fine_bits": _INT,
-    "k": _INT,
-    "filter_taps": _INT,
-    "filter_beta": _NUMBER,
-    "frame_window": _INT,
-    "frame_hop": _INT,
-    "frame_channels": _INT,
-    "rho": _NUMBER,
-    "lam": _NUMBER,
-    "max_iters": _INT,
-    "output_dir": _TEXT,
-    "workers": _INT,
-    "record_timing": _FLAG,
-}
-_CONFIG_LISTS = {"signals", "coarse_bits", "fine_bits"}
+        raise ValueError(f"{label} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
 
 def automatic_lam(coarse_bits: int) -> float:
@@ -134,15 +114,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name, types in _CONFIG_TYPES.items():
-            value = getattr(self, name)
-            if name in _CONFIG_LISTS:
-                if not isinstance(value, list):
-                    raise ValueError(f"config key {name!r} must be a list, got {value!r}")
-                for item in value:
-                    _check_type(f"each entry of config key {name!r}", item, types)
-            elif not (name == "lam" and value is None):
-                _check_type(f"config key {name!r}", value, types)
+        # each key's type is its annotation; lambda_table's keys are checked below
+        for name, hint in typing.get_type_hints(type(self)).items():
+            if name != "lambda_table":
+                _check_type(f"config key {name!r}", getattr(self, name), hint)
         if not isinstance(self.lambda_table, dict):
             raise ValueError(
                 f"config key 'lambda_table' must be an object, got {self.lambda_table!r}"
@@ -175,7 +150,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"lambda_table key {key!r} names no cell of coarse_bits x fine_bits"
                 )
-            _check_type(f"lambda_table entry {key!r}", value, _NUMBER)
+            _check_type(f"lambda_table entry {key!r}", value, float)
             lams.append((f"lambda_table entry {key!r}", value))
         # The solver's own rules, so that no cell fails on a setting the
         # config could have rejected; the steps here are placeholders.

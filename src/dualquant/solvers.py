@@ -503,6 +503,7 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         p2 += y2
         # the buffer _relax frees is dropped: down_filter returns a new one
         y2 = _relax(y2, _box_dual_prox(p2, fine_set), rho)[0]
+        del p2  # with rho != 1 it is that freed buffer
         lookahead += y3
         y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set), rho)
 

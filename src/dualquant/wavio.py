@@ -22,6 +22,19 @@ _PCM = 1
 _IEEE_FLOAT = 3
 _U32_MAX = 2**32 - 1
 
+# Each supported (format tag, bits): the little-endian dtype of one stored
+# sample, of which 24-bit PCM keeps the low three bytes, and whether
+# save_wav writes that encoding at that width.
+_ENCODINGS = {
+    (_PCM, 16): ("<i2", True),
+    (_PCM, 24): ("<i4", True),
+    (_PCM, 32): ("<i4", False),
+    (_IEEE_FLOAT, 32): ("<f4", True),
+    (_IEEE_FLOAT, 64): ("<f8", True),
+}
+# The format tag save_wav writes at each width it supports.
+_SAVED_FORMATS = {bits: tag for (tag, bits), (_, saved) in _ENCODINGS.items() if saved}
+
 
 def _max_rate(bits: int) -> int:
     """Highest rate whose byte rate fits the 32-bit header field at ``bits``."""
@@ -58,37 +71,28 @@ def load_wav(path) -> Signal:
         "<HHIIHH", fmt
     )
     data = chunks[b"data"]
-    if channels < 1 or block_align == 0:
+    if (audio_format, bits) not in _ENCODINGS:
+        pcm, ieee = ("/".join(str(b) for t, b in _ENCODINGS if t == f) for f in (_PCM, _IEEE_FLOAT))
+        raise ValueError(
+            f"{path}: unsupported WAV encoding (format tag {audio_format}, {bits} bits); "
+            f"expected {pcm}-bit PCM or {ieee}-bit float"
+        )
+    if channels < 1 or block_align != channels * (bits // 8):
         raise ValueError(f"{path}: malformed fmt chunk")
     frames = len(data) // block_align
     data = data[: frames * block_align]
-
-    if audio_format == _PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
-        samples = samples.reshape(frames, channels)[:, 0] / 2.0**15
-    elif audio_format == _PCM and bits == 24:
-        by = np.frombuffer(data, dtype=np.uint8).reshape(frames, channels, 3)[:, 0, :]
-        vals = (
-            by[:, 0].astype(np.int32)
-            | (by[:, 1].astype(np.int32) << 8)
-            | (by[:, 2].astype(np.int32) << 16)
-        )
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        samples = vals.astype(np.float64) / 2.0**23
-    elif audio_format == _PCM and bits == 32:
-        samples = np.frombuffer(data, dtype="<i4").astype(np.float64)
-        samples = samples.reshape(frames, channels)[:, 0] / 2.0**31
-    elif audio_format == _IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").reshape(frames, channels)[:, 0]
-        samples = samples.astype(np.float64)
-    elif audio_format == _IEEE_FLOAT and bits == 64:
-        samples = np.frombuffer(data, dtype="<f8").reshape(frames, channels)[:, 0]
-        samples = samples.astype(np.float64)
+    dtype = _ENCODINGS[audio_format, bits][0]
+    if bits == 24:
+        # three bytes above a zero byte are an int32 of 256 times the sample
+        wide = np.empty((frames, 4), np.uint8)
+        wide[:, 0] = 0
+        wide[:, 1:] = np.frombuffer(data, np.uint8).reshape(frames, channels, 3)[:, 0]
+        samples = wide.view(dtype)[:, 0] >> 8
     else:
-        raise ValueError(
-            f"{path}: unsupported WAV encoding (format tag {audio_format}, "
-            f"{bits} bits); expected 16/24/32-bit PCM or 32/64-bit float"
-        )
+        samples = np.frombuffer(data, dtype).reshape(frames, channels)[:, 0]
+    samples = samples.astype(np.float64)
+    if audio_format == _PCM:
+        samples /= 2.0 ** (bits - 1)
     return Signal(samples, rate)
 
 
@@ -99,28 +103,19 @@ def save_wav(path, x: Signal, bits: int = 24) -> None:
     """
     arr = samples_of(x)
     rate = x.sample_rate_hz if isinstance(x, Signal) else 48000
-    if bits in (16, 24):
+    if bits not in _SAVED_FORMATS:
+        *others, last = sorted(_SAVED_FORMATS)
+        raise ValueError(
+            f"unsupported bit width {bits}; use {', '.join(map(str, others))} or {last}"
+        )
+    audio_format = _SAVED_FORMATS[bits]
+    if audio_format == _PCM:
         full_scale = 2 ** (bits - 1)
-        codes = np.round(arr * full_scale)
-        codes = np.clip(codes, -full_scale, full_scale - 1).astype(np.int32)
-        if bits == 16:
-            payload = codes.astype("<i2").tobytes()
-        else:
-            u = codes.astype(np.uint32) & 0xFFFFFF
-            by = np.empty((arr.size, 3), dtype=np.uint8)
-            by[:, 0] = u & 0xFF
-            by[:, 1] = (u >> 8) & 0xFF
-            by[:, 2] = (u >> 16) & 0xFF
-            payload = by.tobytes()
-        audio_format = _PCM
-    elif bits == 32:
-        payload = arr.astype("<f4").tobytes()
-        audio_format = _IEEE_FLOAT
-    elif bits == 64:
-        payload = arr.astype("<f8").tobytes()
-        audio_format = _IEEE_FLOAT
-    else:
-        raise ValueError(f"unsupported bit width {bits}; use 16, 24, 32 or 64")
+        arr = np.clip(np.round(arr * full_scale), -full_scale, full_scale - 1)
+    stored = arr.astype(_ENCODINGS[audio_format, bits][0])
+    if bits == 24:  # the low three bytes of each int32
+        stored = stored.view(np.uint8).reshape(arr.size, 4)[:, :3]
+    payload = stored.tobytes()
 
     block_align = bits // 8
     if rate > _max_rate(bits):

@@ -266,6 +266,14 @@ class TestReconstruct:
         solver = {k.split(".")[1] for k in cli._MANIFEST_TYPES if k.startswith("solver.")}
         assert solver == {f.name for f in dataclasses.fields(SolverConfig)}
 
+    def test_manifest_table_lists_every_key_simulate_writes(self, workspace):
+        tmp_path, wav = workspace
+        manifest = read_manifest(simulate(tmp_path, wav, tmp_path / "run") / "manifest.json")
+        written = set()
+        for key, value in manifest.items():
+            written |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
+        assert written == set(cli._MANIFEST_TYPES)
+
 
 class TestBaseline:
     def test_runs_and_writes(self, workspace):

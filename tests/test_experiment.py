@@ -90,6 +90,15 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
     @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "lambda_table"]
+    )
+    def test_every_key_is_type_checked(self, name):
+        # a string where anything but a string is declared, else a number
+        wrong = 3 if name == "output_dir" else "3"
+        with pytest.raises(ValueError, match=f"^config key {name!r} must be"):
+            ExperimentConfig(**{name: wrong})
+
+    @pytest.mark.parametrize(
         "data, message",
         [
             ({"rho": 3}, "rho must lie strictly inside"),

@@ -6,6 +6,11 @@ the hot path must keep the iterates, not just clear the acceptance bounds.
 The ``cva_rho15`` traces pin the over-relaxed (``rho != 1``) branch of the
 dual-branch updates; they were recorded before the filter pair moved to the
 aliasing fold.
+
+The solvers run on the observations stored with the traces (``y1_levels``,
+``y2_levels``: quantizer level indices), so the traces pin the solvers
+alone; a separate test checks that ``simulate_acquisition`` still makes
+those observations.
 """
 
 import json
@@ -17,6 +22,7 @@ import pytest
 from dualquant import (
     AcquisitionModel,
     Quantizer,
+    Signal,
     SolverConfig,
     cpa_solve,
     cva_solve,
@@ -33,14 +39,32 @@ ITERS = 50
 
 
 @pytest.fixture(scope="module")
-def runs():
+def problem():
     (_, x), = synth_corpus(1, 1337, 0.5, 16000)
-    length = padded_length(len(x), 4, 512, 2048)
-    x = pad_to_multiple(x, length)
-    frame = make_tight_frame(2048, 512, 2048, length)
-    fir = build_filter(4)
-    model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+    x = pad_to_multiple(x, padded_length(len(x), 4, 512, 2048))
+    model = AcquisitionModel(build_filter(4), 4, Quantizer(16), Quantizer(10))
+    return x, model
+
+
+def stored(name, q: Quantizer, rate_hz: int) -> Signal:
+    """A stored observation: the levels ``step * (i + 0.5)`` of its indices."""
+    return Signal(q.step * (np.array(GOLDEN[f"{name}_levels"]) + 0.5), rate_hz)
+
+
+def test_simulation_reproduces_the_stored_observations(problem):
+    x, model = problem
     y1, y2 = simulate_acquisition(x, model)
+    np.testing.assert_array_equal(y1.samples, stored("y1", model.fine, 4000).samples)
+    np.testing.assert_array_equal(y2.samples, stored("y2", model.coarse, 16000).samples)
+    assert (y1.sample_rate_hz, y2.sample_rate_hz) == (4000, 16000)
+
+
+@pytest.fixture(scope="module")
+def runs(problem):
+    x, model = problem
+    fir = model.filter
+    frame = make_tight_frame(2048, 512, 2048, len(x))
+    y1, y2 = stored("y1", model.fine, 4000), stored("y2", model.coarse, 16000)
     lam = model.coarse.step / 2
     tau, sigma = default_steps(fir)
     cva = cva_solve(

@@ -335,16 +335,27 @@ class TestBlockScratch:
         # the analysis and the l1 dual update run a block of frames at a
         # time, so no coefficient array beyond the state is held
         steps, frame = self._steps(solver, rho)
+        held = self._held_after_two_steps(steps)
+        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
+        assert held <= arrays * coeff_bytes + signals * frame.signal_len * 8 + (1 << 20)
+
+    def test_over_relaxation_holds_what_rho_one_holds(self):
+        # with rho != 1 the fine-branch prox argument (L / 4 floats,
+        # 256 KiB here) is freed before the step yields, as with rho == 1
+        held = {rho: self._held_after_two_steps(self._steps("cva", rho)[0]) for rho in (1.0, 1.5)}
+        assert held[1.5] <= held[1.0] + (64 << 10)
+
+    @staticmethod
+    def _held_after_two_steps(steps) -> int:
+        """Bytes the step generator ``steps`` holds after its second step."""
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             next(steps)
             next(steps)
-            held = tracemalloc.get_traced_memory()[0] - before
+            return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
-        assert held <= arrays * coeff_bytes + signals * frame.signal_len * 8 + (1 << 20)
 
 
 class TestSeveralBlocks:

@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from dualquant import Quantizer, Signal, consistency_set, load_wav, quantize, save_wav
+from dualquant.wavio import _ENCODINGS
+
+
+def _wav_bytes(tag, bits, channels, block_align, payload, rate=8000):
+    """A WAV file: a 16-byte fmt chunk, then ``payload`` as the data chunk."""
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        tag, channels, rate, rate * block_align, block_align, bits, b"data", len(payload),
+    )
+    return header + payload
 
 
 @pytest.fixture
@@ -108,6 +119,15 @@ class TestFormat:
         with pytest.raises(ValueError):
             load_wav(path)
 
+    @pytest.mark.parametrize("channels, block_align", [(0, 2), (1, 1), (1, 3), (2, 2)])
+    def test_block_align_other_than_channels_times_width_rejected(
+        self, tmp_path, channels, block_align
+    ):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(1, 16, channels, block_align, bytes(range(12))))
+        with pytest.raises(ValueError, match="malformed fmt chunk"):
+            load_wav(path)
+
     def test_unsupported_codec_rejected(self, tmp_path):
         payload = b"\x00\x00"
         header = struct.pack(
@@ -119,3 +139,29 @@ class TestFormat:
         path.write_bytes(header + payload)
         with pytest.raises(ValueError, match="unsupported"):
             load_wav(path)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("tag, bits", sorted(_ENCODINGS))
+def test_each_encoding_decodes_the_first_channel(tmp_path, tag, bits, channels):
+    # hand-built samples: two's-complement codes of full scale 2^(bits-1),
+    # or IEEE floats exact in single precision; a second channel holds
+    # the same samples reversed
+    width = bits // 8
+    if tag == 1:
+        full = 2 ** (bits - 1)
+        codes = [-full, -full // 3, -1, 0, 1, full // 5, full - 1]
+        expected = np.array(codes, dtype=np.float64) / full
+        encoded = [c.to_bytes(width, "little", signed=True) for c in codes]
+    else:
+        expected = np.array([-1.0, -0.3125, 0.0, 2.0**-20, 0.5, 1 - 2.0**-12])
+        encoded = [struct.pack("<f" if bits == 32 else "<d", v) for v in expected]
+    payload = b"".join(
+        b"".join([sample, *[other] * (channels - 1)])
+        for sample, other in zip(encoded, reversed(encoded))
+    )
+    path = tmp_path / "x.wav"
+    path.write_bytes(_wav_bytes(tag, bits, channels, channels * width, payload))
+    loaded = load_wav(path)
+    np.testing.assert_array_equal(loaded.samples, expected)
+    assert loaded.samples.dtype == np.float64 and loaded.sample_rate_hz == 8000
