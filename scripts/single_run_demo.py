@@ -16,7 +16,6 @@ from dualquant import (
     SolverConfig,
     cpa_solve,
     cva_solve,
-    default_steps,
     make_tight_frame,
     pad_to_multiple,
     sdr,
@@ -44,18 +43,9 @@ def main():
     )
     y1, y2 = simulate_acquisition(x_pad, model)
 
-    lam = automatic_lam(args.coarse_bits)
-    tau, sigma = default_steps(fir)
-    dual = cva_solve(
-        y1, y2, model, frame,
-        SolverConfig(tau, sigma, lam=lam, max_iters=args.iters),
-        reference=x_pad,
-    )
-    single = cpa_solve(
-        y2, model.coarse, frame,
-        SolverConfig(1.0, 1.0, lam=lam, max_iters=args.iters),
-        reference=x_pad,
-    )
+    cfg = SolverConfig(lam=automatic_lam(args.coarse_bits), max_iters=args.iters)
+    dual = cva_solve(y1, y2, model, frame, cfg, reference=x_pad)
+    single = cpa_solve(y2, model.coarse, frame, cfg, reference=x_pad)
 
     print(f"raw coarse observation : {sdr(x_pad, y2):8.2f} dB")
     print(

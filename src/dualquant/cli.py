@@ -37,29 +37,30 @@ from .experiment import (
 from .frames import make_tight_frame
 from .quantizers import Quantizer
 from .signals import Signal, export_taps_csv, pad_to_multiple
-from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve, default_steps
+from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve
 from .wavio import _SAVED_FORMATS, _max_rate, load_wav, save_wav
 
 _ESTIMATE_BITS = 64  # bits per sample of the estimate reconstruct and baseline write
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=4, help="downsampling factor")
+    grid = ExperimentConfig()
+    p.add_argument("--k", type=int, default=grid.k, help="downsampling factor")
     p.add_argument("--coarse-bits", type=int, default=10)
     p.add_argument("--fine-bits", type=int, default=20)
-    p.add_argument("--filter-taps", type=int, default=129)
-    p.add_argument("--filter-beta", type=float, default=8.0)
-    p.add_argument("--frame-window", type=int, default=2048)
-    p.add_argument("--frame-hop", type=int, default=512)
-    p.add_argument("--frame-channels", type=int, default=2048)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--filter-taps", type=int, default=grid.filter_taps)
+    p.add_argument("--filter-beta", type=float, default=grid.filter_beta)
+    p.add_argument("--frame-window", type=int, default=grid.frame_window)
+    p.add_argument("--frame-hop", type=int, default=grid.frame_hop)
+    p.add_argument("--frame-channels", type=int, default=grid.frame_channels)
+    p.add_argument("--rho", type=float, default=grid.rho)
     p.add_argument(
         "--lam",
         type=float,
-        default=None,
+        default=grid.lam,
         help="l1 weight; default is half the coarse quantization step",
     )
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=int, default=grid.max_iters)
 
 
 def cmd_synth(args) -> int:
@@ -85,7 +86,7 @@ def cmd_simulate(args) -> int:
     # settings they would reject fail here, before any file is written.
     make_tight_frame(args.frame_window, args.frame_hop, args.frame_channels, target)
     lam = args.lam if args.lam is not None else automatic_lam(args.coarse_bits)
-    cfg = SolverConfig(*default_steps(fir), rho=args.rho, lam=lam, max_iters=args.iters)
+    cfg = SolverConfig(rho=args.rho, lam=lam, max_iters=args.iters)
     model = AcquisitionModel(
         fir, args.k, Quantizer(args.fine_bits), Quantizer(args.coarse_bits)
     )
@@ -231,7 +232,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_baseline(args) -> int:
     manifest, base, fir, frame, y2, reference, cfg = _load_run_inputs(args)
     coarse = Quantizer(manifest["coarse_bits"])
-    baseline_cfg = dataclasses.replace(cfg, tau=1.0, sigma=1.0)
+    # a manifest's steps are the dual-branch solver's; the baseline runs its own
+    baseline_cfg = dataclasses.replace(cfg, tau=None, sigma=None)
     run = cpa_solve(y2, coarse, frame, baseline_cfg, reference=reference)
     return _write_run_outputs(args, manifest, base, run, suffix="_baseline")
 

@@ -27,7 +27,7 @@ from .acquisition import AcquisitionModel, peak_normalize, sdr, simulate_acquisi
 from .frames import TfFrame, make_tight_frame
 from .quantizers import Quantizer
 from .signals import FirFilter, Signal, design_lowpass, pad_to_multiple
-from .solvers import SolverConfig, cpa_solve, cva_solve, default_steps
+from .solvers import SolverConfig, cpa_solve, cva_solve
 from .wavio import load_wav
 
 __all__ = [
@@ -122,8 +122,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"config key 'lambda_table' must be an object, got {self.lambda_table!r}"
             )
-        if not self.coarse_bits or not self.fine_bits:
-            raise ValueError("coarse_bits and fine_bits must be nonempty")
+        for name in ("coarse_bits", "fine_bits"):
+            depths = getattr(self, name)
+            if not depths or len(set(depths)) != len(depths):
+                raise ValueError(f"config key {name!r} must list distinct bit depths, got {depths}")
         for w in [*self.coarse_bits, *self.fine_bits]:
             if not 1 <= int(w) <= 32:
                 raise ValueError(f"bit depth {w} outside [1, 32]")
@@ -153,10 +155,10 @@ class ExperimentConfig:
             _check_type(f"lambda_table entry {key!r}", value, float)
             lams.append((f"lambda_table entry {key!r}", value))
         # The solver's own rules, so that no cell fails on a setting the
-        # config could have rejected; the steps here are placeholders.
+        # config could have rejected.
         for label, lam in lams:
             try:
-                SolverConfig(1.0, 1.0, rho=self.rho, lam=lam, max_iters=self.max_iters)
+                SolverConfig(rho=self.rho, lam=lam, max_iters=self.max_iters)
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
 
@@ -290,12 +292,10 @@ def _run_cell(
         model = AcquisitionModel(fir, cfg.k, Quantizer(fine), Quantizer(coarse))
         y1, y2 = simulate_acquisition(x_pad, model)
         lam = cfg.lambda_for(coarse, fine)
-        tau, sigma = default_steps(fir)
-        cva_cfg = SolverConfig(tau, sigma, rho=cfg.rho, lam=lam, max_iters=cfg.max_iters)
-        cpa_cfg = SolverConfig(1.0, 1.0, rho=cfg.rho, lam=lam, max_iters=cfg.max_iters)
+        solver_cfg = SolverConfig(rho=cfg.rho, lam=lam, max_iters=cfg.max_iters)
         sdr_y2 = sdr(x_pad, y2)
-        cva_run = cva_solve(y1, y2, model, frame, cva_cfg, reference=x_pad)
-        cpa_run = cpa_solve(y2, model.coarse, frame, cpa_cfg, reference=x_pad)
+        cva_run = cva_solve(y1, y2, model, frame, solver_cfg, reference=x_pad)
+        cpa_run = cpa_solve(y2, model.coarse, frame, solver_cfg, reference=x_pad)
         elapsed = time.perf_counter() - start
         return GridRow(
             signal_id=signal_id,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,36 +81,45 @@ class FeasibilityGap(NamedTuple):
 class SolverConfig:
     """Step sizes and weights shared by both solvers.
 
-    ``rho`` is the over-relaxation parameter of the dual-branch solver
-    (ignored by the baseline); ``lam`` weights the l1 term and only affects
-    iteration dynamics, not the minimizer.
+    Unset steps (``tau`` and ``sigma`` both ``None``) mean each solver's own
+    rule: :func:`default_steps` of the filter for the dual-branch solver,
+    unit steps for the baseline.  ``rho`` is the over-relaxation parameter
+    of the dual-branch solver (ignored by the baseline); ``lam`` weights
+    the l1 term and only affects iteration dynamics, not the minimizer.
     """
 
-    tau: float
-    sigma: float
+    tau: float | None = None
+    sigma: float | None = None
     rho: float = 1.0
     lam: float = 1.0
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.tau <= 0 or self.sigma <= 0:
-            raise ValueError("tau and sigma must be positive")
+        if (self.tau is None) != (self.sigma is None):
+            raise ValueError("set both tau and sigma, or neither")
+        steps = () if self.tau is None else (self.tau, self.sigma)
+        if not all(0 < step < math.inf for step in steps):
+            raise ValueError("tau and sigma must be positive and finite")
         if not 0.0 < self.rho < 2.0:
             raise ValueError(f"rho must lie strictly inside (0, 2), got {self.rho}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
+    def _with_steps(self, tau: float, sigma: float) -> "SolverConfig":
+        """This config, with ``tau`` and ``sigma`` in place of unset steps."""
+        return self if self.tau is not None else replace(self, tau=tau, sigma=sigma)
+
     def validate_for_cva(self, filter_l1_norm: float) -> None:
-        bound = self.tau * self.sigma * (2.0 + filter_l1_norm**2)
+        bound = 0.0 if self.tau is None else self.tau * self.sigma * (2.0 + filter_l1_norm**2)
         if bound > 1.0 + _STEP_SLACK:
             raise ValueError(
                 f"step sizes violate tau*sigma*(2 + |b|_1^2) <= 1 (got {bound:.6g})"
             )
 
     def validate_for_cpa(self) -> None:
-        if self.tau * self.sigma > 1.0 + _STEP_SLACK:
+        if self.tau is not None and self.tau * self.sigma > 1.0 + _STEP_SLACK:
             raise ValueError(
                 f"step sizes violate tau*sigma <= 1 (got {self.tau * self.sigma:.6g})"
             )
@@ -384,7 +393,7 @@ def cva_solve(
     y2,
     model: AcquisitionModel,
     frame: TfFrame,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     reference=None,
 ) -> SolverRun:
     """Dual-branch reconstruction from observations ``y1`` (fine, low rate)
@@ -402,8 +411,6 @@ def cva_solve(
         )
     fine_set = consistency_set(y1_arr, model.fine)
     coarse_set = consistency_set(y2_arr, model.coarse)
-    if cfg is None:
-        cfg = SolverConfig(*default_steps(model.filter))
     return cva_solve_sets(
         fine_set, coarse_set, model.filter, k, frame, x0=y2, cfg=cfg, reference=reference
     )
@@ -426,6 +433,7 @@ def cva_solve_sets(
     the observations.  The estimate has the sample rate of ``x0`` when it
     is a Signal, else that of ``reference``.
     """
+    cfg = cfg._with_steps(*default_steps(fir))
     cfg.validate_for_cva(fir.l1_norm)
     ops = _DualBranchOperators(frame.signal_len, fir, factor)
     x, ref, rate = _start(x0, ops.length, reference)
@@ -515,14 +523,12 @@ def cpa_solve(
     y2,
     quantizer: Quantizer,
     frame: TfFrame,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     reference=None,
 ) -> SolverRun:
     """Single-branch baseline: sparse recovery from the coarse full-rate
     observation alone, via the Chambolle-Pock iteration."""
     box = consistency_set(y2, quantizer)
-    if cfg is None:
-        cfg = SolverConfig(tau=1.0, sigma=1.0)
     return cpa_solve_box(box, frame, x0=y2, cfg=cfg, reference=reference)
 
 
@@ -535,6 +541,7 @@ def cpa_solve_box(
 ) -> SolverRun:
     """Chambolle-Pock iteration with an explicit constraint box; the
     estimate's sample rate is chosen as in :func:`cva_solve_sets`."""
+    cfg = cfg._with_steps(1.0, 1.0)
     cfg.validate_for_cpa()
     x, ref, rate = _start(x0, frame.signal_len, reference)
     if len(box) != frame.signal_len:

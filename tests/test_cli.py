@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from dualquant import SolverConfig, cli, load_wav, sdr
+from dualquant import SolverConfig, cli, default_steps, load_wav, sdr
 from dualquant.cli import main
-from dualquant.experiment import ExperimentConfig, read_manifest
+from dualquant.experiment import ExperimentConfig, build_filter, read_manifest
 
 
 @pytest.fixture
@@ -130,6 +130,9 @@ class TestSimulate(object):
             ("--iters", "0", "max_iters must be >= 1"),
             ("--rho", "3", "rho must lie strictly inside"),
             ("--lam", "-1", "lam must be positive"),
+            # not strict JSON, and reconstruct would reject the manifest
+            ("--lam", "nan", "lam must be positive and finite"),
+            ("--lam", "inf", "lam must be positive and finite"),
         ],
     )
     def test_settings_reconstruct_would_reject(self, workspace, capsys, flag, value, message):
@@ -142,6 +145,22 @@ class TestSimulate(object):
         assert err.startswith("error:") and message in err
         assert len(err.strip().splitlines()) == 1
         assert not (outdir / "manifest.json").exists()
+
+    def test_model_defaults_are_the_grid_defaults(self, workspace):
+        tmp_path, wav = workspace
+        assert main(["simulate", str(wav), "--outdir", str(tmp_path / "run")]) == 0
+        manifest = read_manifest(tmp_path / "run" / "manifest.json")
+        grid = ExperimentConfig()
+        assert manifest["k"] == grid.k
+        assert manifest["filter"]["num_taps"] == grid.filter_taps
+        assert manifest["filter"]["beta"] == grid.filter_beta
+        assert manifest["frame"] == {
+            "window_len": grid.frame_window,
+            "hop": grid.frame_hop,
+            "num_channels": grid.frame_channels,
+        }
+        assert manifest["solver"]["rho"] == grid.rho
+        assert manifest["solver"]["max_iters"] == grid.max_iters
 
     def test_automatic_lam_matches_the_grid(self, workspace):
         # simulate and the grid take the default l1 weight from one rule
@@ -275,6 +294,31 @@ class TestReconstruct:
         assert written == set(cli._MANIFEST_TYPES)
 
 
+class TestManifestSteps:
+    def test_numeric_steps_give_the_outputs_of_unset_steps(self, workspace):
+        # simulate leaves the steps to each solver's rule; a manifest that
+        # holds the dual-branch steps as numbers still loads, and its baseline
+        # still runs at unit steps
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="5")
+        manifest = read_manifest(outdir / "manifest.json")
+        assert manifest["solver"]["tau"] is manifest["solver"]["sigma"] is None
+        tau, sigma = default_steps(build_filter(manifest["k"]))
+        manifest["solver"].update(tau=tau, sigma=sigma)
+        (outdir / "numeric.json").write_text(json.dumps(manifest))
+        outputs = {}
+        for name in ("manifest", "numeric"):
+            for command in ("reconstruct", "baseline"):
+                files = [outdir / f"{name}-{command}.{ext}" for ext in ("wav", "csv")]
+                argv = [command, str(outdir / f"{name}.json"), "--reference",
+                        str(outdir / "reference.wav"), "--out", str(files[0]),
+                        "--trace", str(files[1])]
+                assert main(argv) == 0
+                outputs[name, command] = [f.read_bytes() for f in files]
+        for command in ("reconstruct", "baseline"):
+            assert outputs["manifest", command] == outputs["numeric", command]
+
+
 class TestBaseline:
     def test_runs_and_writes(self, workspace):
         tmp_path, wav = workspace
@@ -328,6 +372,16 @@ class TestGridCommand:
         assert rc == 0
         assert (tmp_path / "grid" / "results.csv").exists()
         assert "1 cells (1 completed)" in capsys.readouterr().out
+
+    def test_repeated_bit_depth_reported(self, tmp_path, capsys):
+        cfg = {"coarse_bits": [10, 10], "fine_bits": [14], "output_dir": str(tmp_path / "grid")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["grid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'coarse_bits'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid").exists()
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

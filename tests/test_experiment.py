@@ -81,6 +81,9 @@ class TestConfig:
             ({"lambda_table": {"010,20": 0.5}}, 'keys must look like "coarse,fine"'),
             ({"lambda_table": {"40,20": 0.5}}, "key '40,20' names a bit depth outside"),
             ({"lambda_table": {"5,9": 0.1}}, "key '5,9' names no cell of coarse_bits"),
+            # a repeated depth would run its cells twice
+            ({"coarse_bits": [10, 10]}, "config key 'coarse_bits' must list distinct"),
+            ({"fine_bits": [20, 16, 20]}, "config key 'fine_bits' must list distinct"),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, data, message):

@@ -432,6 +432,24 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(0.5, 0.5, max_iters=0)
 
+    def test_non_finite_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            {"lam": nan}, {"lam": inf}, {"tau": nan, "sigma": 0.4}, {"tau": 0.4, "sigma": inf}
+        ):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(**{"tau": 0.4, "sigma": 0.4, **kwargs})
+
+    def test_steps_set_together_or_not_at_all(self):
+        for kwargs in ({"tau": 0.5}, {"sigma": 0.5}):
+            with pytest.raises(ValueError, match="set both tau and sigma, or neither"):
+                SolverConfig(**kwargs)
+        unset = SolverConfig()
+        assert unset.tau is unset.sigma is None
+        # each solver fills in steps that meet its own condition
+        unset.validate_for_cva(1.0)
+        unset.validate_for_cpa()
+
     def test_dual_branch_step_condition(self):
         cfg = SolverConfig(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -696,6 +714,19 @@ class TestRunBookkeeping:
         x, y1, y2, model, frame = self._pipeline()
         run = cva_solve(y1, y2, model, frame)
         assert run.objective_trace.shape == (200,)
+
+    def test_unset_steps_are_each_solvers_rule(self):
+        x, y1, y2, model, frame = self._pipeline()
+        runs = []
+        for tau, sigma in ((None, None), default_steps(model.filter)):
+            cfg = SolverConfig(tau, sigma, rho=1.5, lam=0.01, max_iters=20)
+            runs.append(cva_solve(y1, y2, model, frame, cfg, reference=x))
+        for tau, sigma in ((None, None), (1.0, 1.0)):
+            cfg = SolverConfig(tau, sigma, lam=0.01, max_iters=20)
+            runs.append(cpa_solve(y2, model.coarse, frame, cfg, reference=x))
+        for unset, explicit in (runs[:2], runs[2:]):
+            assert np.array_equal(unset.sdr_trace, explicit.sdr_trace)
+            assert np.array_equal(unset.objective_trace, explicit.objective_trace)
 
     def test_single_branch_pipeline(self):
         x, y1, y2, model, frame = self._pipeline()
