@@ -308,9 +308,10 @@ def _run_cell(
             best_iter=cva_run.best_sdr_iter,
             wall_time_s=elapsed if cfg.record_timing else None,
         )
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         logger.warning(
-            "grid cell (%s, coarse=%d, fine=%d) failed: %s", signal_id, coarse, fine, exc
+            "grid cell (%s, coarse=%d, fine=%d) failed: %s",
+            signal_id, coarse, fine, str(exc) or type(exc).__name__,
         )
         return GridRow(signal_id, coarse, fine, cfg.k, None, None, None, None, None)
 

@@ -68,19 +68,11 @@ class ConsistencySet:
     def __len__(self) -> int:
         return self.lower.size
 
-    def violation(self, x) -> np.ndarray:
-        """Per-sample distance outside the box (0 where feasible)."""
-        arr = samples_of(x)
-        return np.maximum(0.0, np.maximum(self.lower - arr, arr - self.upper))
-
     def max_violation(self, x) -> float:
-        """Largest entry of :meth:`violation`, formed from one side of the
-        box at a time."""
+        """Largest per-sample distance outside the box (0 when ``x`` is
+        inside), formed from one side of the box at a time."""
         arr = samples_of(x)
         return max(0.0, float((self.lower - arr).max()), float((arr - self.upper).max()))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return self.max_violation(x) <= tol
 
 
 def quantize(x, q: Quantizer):

@@ -14,22 +14,24 @@ coarse box.
 
 Each iteration is a private generator (``_cva_steps``, ``_cpa_steps``)
 that advances the iterate and yields it with the weighted l1 norm of its
-coefficients; one driver (``_drive``) runs either generator for
-``max_iters`` steps and does the bookkeeping both share: the objective and
-SDR traces, the best-SDR iterate, DEBUG logging of the relative primal
-change and the assembled :class:`SolverRun`.
+coefficients.  Both run their l1 term through one ``_L1Branch``, whose dual
+update also gives ``A x`` of the new iterate by linearity, so the objective
+costs no transform.  One driver (``_drive``) runs either generator for
+``max_iters`` steps and does the rest: the objective and SDR traces, the
+best-SDR iterate, DEBUG logging of the relative primal change and the
+assembled :class:`SolverRun`.
 
 The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
 which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
 l1 prox therefore clips each bin at ``lam * weight``.
 
-The dual-branch iteration keeps each dual divided by sigma, ``y = u /
-sigma``.  The conjugate prox of the l1 term is a clip, and a clip commutes
-with scaling, so ``y1`` is clipped at radius ``lam * weight / sigma``; a box
-dual becomes ``p - project(box, p)`` at ``p = y + K x``; and the primal
-gradient ``K^T u`` is ``sigma * (A^* y1 + (D_k B)^* y2 + y3)``, scaled once
-on the signal instead of on every coefficient.  The iterates are those of
-the unscaled form up to rounding.
+Both iterations keep each dual divided by sigma, ``y = u / sigma``.  The
+conjugate prox of the l1 term is a clip, and a clip commutes with scaling,
+so ``y1`` is clipped at radius ``lam * weight / sigma``; a box dual becomes
+``p - project(box, p)`` at ``p = y + K x``; and the primal gradient ``K^T
+u`` is ``sigma * (A^* y1 + (D_k B)^* y2 + y3)``, scaled once on the signal
+instead of on every coefficient.  The iterates are those of the unscaled
+form up to rounding.
 
 Step sizes: with a Parseval frame (norm 1), identity and a filter whose
 operator norm is at most the l1 norm of its taps, the stacked operator has
@@ -338,6 +340,52 @@ def _relax(y, target, rho: float):
     return y, target
 
 
+class _L1Branch:
+    """The l1 term of either iteration: its dual, divided by sigma, and
+    ``A x`` of the running iterate, for the objective trace.
+
+    :meth:`update` runs the dual update at a look-ahead point ``v`` a block
+    of frames at a time, so the branch holds two coefficient arrays.  The
+    iterate moves by ``(rho/2) * (v - x)``, and ``A x`` with it by
+    linearity; the first ``v`` is the iterate itself.
+    """
+
+    def __init__(self, frame: TfFrame, cfg: SolverConfig, rho: float):
+        shape = frame.coeff_shape
+        self.frame, self.rho = frame, rho
+        self.radius = (cfg.lam / cfg.sigma) * frame.coeff_weight
+        self.dual = np.zeros(shape, dtype=np.complex128)
+        self.ax = np.empty(shape, dtype=np.complex128)
+        # one block of the analysis of v, then of the clip's argument
+        self.block = np.empty((_block_rows(frame), shape[1]), dtype=np.complex128)
+        self.l1_terms = np.empty(frame.num_frames)
+        self.first = True
+
+    def update(self, v) -> float:
+        """Update the dual at ``v``; return the weighted l1 of the
+        coefficients of the new iterate."""
+        frame, rho, dual = self.frame, self.rho, self.dual
+        for rows in _frame_blocks(frame):
+            a = analyze(frame, v, out=self.block[: rows.stop - rows.start], rows=rows)
+            # A x is formed in place as (rho/2) * ((2 - rho)/rho * A x + a)
+            ax_rows = self.ax[rows]
+            if self.first:
+                ax_rows[...] = a
+            else:
+                if rho != 1.0:
+                    ax_rows *= (2.0 - rho) / rho
+                ax_rows += a
+                ax_rows *= 0.5 * rho
+            _weighted_l1(ax_rows, frame, out=self.l1_terms[rows])
+            a += dual[rows]
+            if rho == 1.0:
+                clip_complex(a, self.radius, out=dual[rows])
+            else:
+                _relax(dual[rows], clip_complex(a, self.radius, out=a), rho)
+        self.first = False
+        return float(np.sum(self.l1_terms))
+
+
 def _rate_of(*candidates) -> int:
     for c in candidates:
         if isinstance(c, Signal):
@@ -450,34 +498,20 @@ def cva_solve_sets(
 def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_set, cfg):
     """Condat-Vu iteration from ``x``, which it updates in place.
 
-    The duals are kept divided by sigma (see the module docstring).  Every
-    array is allocated here, once per run, and updated in place; with
-    ``rho == 1`` the coarse dual and the look-ahead buffer swap instead of
-    being copied.  The analysis of the look-ahead point, the l1 dual update
-    and the objective run a block of frames at a time through one block of
-    coefficients, so the run holds two coefficient arrays: the l1 dual and
-    ``A x``.
+    Every array is allocated once per run and updated in place; with ``rho
+    == 1`` the coarse dual and the look-ahead buffer swap instead of being
+    copied.
     """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
-    shape = frame.coeff_shape
-    radius = (cfg.lam / sigma) * frame.coeff_weight
-    y1 = np.zeros(shape, dtype=np.complex128)
+    l1 = _L1Branch(frame, cfg, rho)
     y2 = np.zeros(ops.short_len)
     y3 = np.zeros(ops.length)
-    # Coefficients of the running iterate, updated through the same linear
-    # combinations as the iterate itself; used for the objective trace.
-    ax = np.empty(shape, dtype=np.complex128)
-    # One block of the analysis of the look-ahead point, then of the l1
-    # prox argument; and the objective's per-frame terms.
-    block = np.empty((_block_rows(frame), shape[1]), dtype=np.complex128)
-    l1_terms = np.empty(frame.num_frames)
     grad = np.empty(ops.length)
     # The look-ahead point, then the coarse-branch prox argument.
     lookahead = np.empty(ops.length)
-    first = True
     while True:
         # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
-        synthesize(frame, y1, out=grad)
+        synthesize(frame, l1.dual, out=grad)
         grad += ops.up_filter_adjoint(y2)
         grad += y3
         # x_tilde = x - tau * grad is not formed: the look-ahead point is
@@ -485,28 +519,7 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         np.multiply(grad, -2.0 * tau * sigma, out=lookahead)
         lookahead += x
         step = np.multiply(grad, -rho * tau * sigma, out=grad)
-
-        for rows in _frame_blocks(frame):
-            a = analyze(frame, lookahead, out=block[: rows.stop - rows.start], rows=rows)
-            # x moves by (rho/2) * (lookahead - x), and so does A x, formed
-            # in place as (rho/2) * ((2 - rho)/rho * A x + a).  The duals
-            # start at zero, so the first look-ahead point is x itself and
-            # a is A x.
-            ax_rows = ax[rows]
-            if first:
-                ax_rows[...] = a
-            else:
-                if rho != 1.0:
-                    ax_rows *= (2.0 - rho) / rho
-                ax_rows += a
-                ax_rows *= 0.5 * rho
-            _weighted_l1(ax_rows, frame, out=l1_terms[rows])
-            a += y1[rows]
-            if rho == 1.0:
-                clip_complex(a, radius, out=y1[rows])
-            else:
-                _relax(y1[rows], clip_complex(a, radius, out=a), rho)
-        first = False
+        objective = l1.update(lookahead)
         p2 = ops.down_filter(lookahead)
         p2 += y2
         # the buffer _relax frees is dropped: down_filter returns a new one
@@ -516,7 +529,7 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
         y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set), rho)
 
         x += step
-        yield x, float(np.sum(l1_terms))
+        yield x, objective
 
 
 def cpa_solve(
@@ -551,38 +564,24 @@ def cpa_solve_box(
 
 
 def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
-    """Chambolle-Pock iteration from ``x``.
+    """Chambolle-Pock iteration from ``x``, with the l1 branch at rho = 1.
 
-    The dual, one block of coefficients, the primal step and the look-ahead
-    point are allocated once per run; each iterate is the new array the
-    box projection returns.  Both analyses run a block of frames at a
-    time: the dual is updated block by block, and the objective sums
-    per-frame terms of ``A x`` without holding it, so the run holds one
-    coefficient array.
+    The dual update moves from the start of a step to the end of the one
+    before, where it also gives ``A x_next`` for the objective: a step
+    projects ``x - tau * sigma * A^* y`` onto the box, then updates the
+    dual at ``x_bar = 2 * x_next - x``.  The first update runs at ``x``, so
+    n steps run n + 1 analyses.  Each iterate is the new array the box
+    projection returns.
     """
-    tau, sigma = cfg.tau, cfg.sigma
-    shape = frame.coeff_shape
-    radius = cfg.lam * frame.coeff_weight
-    u = np.zeros(shape, dtype=np.complex128)
-    block = np.empty((_block_rows(frame), shape[1]), dtype=np.complex128)
-    l1_terms = np.empty(frame.num_frames)
-    x_bar = x.copy()
-    step = np.empty_like(x)
+    l1 = _L1Branch(frame, cfg, 1.0)
+    l1.update(x)
+    x_bar, step = np.empty_like(x), np.empty_like(x)
     while True:
-        for rows in _frame_blocks(frame):
-            a = analyze(frame, x_bar, out=block[: rows.stop - rows.start], rows=rows)
-            a *= sigma
-            a += u[rows]
-            clip_complex(a, radius, out=u[rows])
-        # x_next = project(box, x - tau * A^* u); x_bar = 2 * x_next - x
-        synthesize(frame, u, out=step)
-        step *= -tau
+        synthesize(frame, l1.dual, out=step)
+        step *= -cfg.tau * cfg.sigma
         step += x
         x_next = project(box, step)
         np.multiply(x_next, 2.0, out=x_bar)
         x_bar -= x
         x = x_next
-        for rows in _frame_blocks(frame):
-            a = analyze(frame, x, out=block[: rows.stop - rows.start], rows=rows)
-            _weighted_l1(a, frame, out=l1_terms[rows])
-        yield x, float(np.sum(l1_terms))
+        yield x, l1.update(x_bar)

@@ -331,6 +331,32 @@ class TestBaseline:
         assert (outdir / "trace_baseline.csv").exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: MemoryError"),
+            (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+        ],
+    )
+    def test_solver_memory_error_is_one_error_line(
+        self, workspace, capsys, monkeypatch, exc, line
+    ):
+        # what a huge --iters ends in: _drive cannot allocate its traces
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="2")
+
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "cva_solve", out_of_memory)
+        monkeypatch.setattr(cli, "cpa_solve", out_of_memory)
+        capsys.readouterr()
+        for command in ("reconstruct", "baseline"):
+            assert main([command, str(outdir / "manifest.json")]) == 1
+            assert capsys.readouterr().err == line + "\n"
+
+
 class TestSdrCommand:
     def test_prints_value(self, workspace, capsys):
         tmp_path, wav = workspace

@@ -238,6 +238,26 @@ class TestRunGrid:
         text = (tmp_path / "out" / "results.csv").read_text()
         assert ",,,,\n" in text or ",,,," in text  # empty metric fields present
 
+    def test_cell_out_of_memory_recorded_as_failed(self, tmp_path, monkeypatch, caplog):
+        # a solve whose trace arrays cannot be allocated (a huge max_iters)
+        # fails its cell, not the grid
+        import dualquant.experiment as experiment
+
+        real = experiment.cpa_solve
+
+        def out_of_memory(y2, quantizer, frame, cfg=None, reference=None):
+            if quantizer.bits == 8:
+                raise MemoryError
+            return real(y2, quantizer, frame, cfg, reference)
+
+        monkeypatch.setattr(experiment, "cpa_solve", out_of_memory)
+        with caplog.at_level("WARNING", logger="dualquant.experiment"):
+            rows = run_grid(small_config(tmp_path, synth_count=1, max_iters=5))
+        assert [(r.coarse_bits, r.sdr_cva is None) for r in rows] == [(8, True), (10, False)]
+        assert "MemoryError" in caplog.text
+        results = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert len(results) == 1 + 2
+
     def test_csv_fields_read_back_to_rows_and_means(self, tmp_path, monkeypatch):
         import dualquant.experiment as experiment
 

@@ -247,6 +247,19 @@ class TestCvaStepAllocation:
         assert peak <= 2 * coeff_bytes
 
 
+def _step_generator(solver, rho, frame, model, y1, y2):
+    """The step generator of either solver from ``y2``, at default steps
+    and ``lam`` half the coarse step."""
+    lam = model.coarse.step / 2
+    coarse_set = consistency_set(y2.samples, model.coarse)
+    if solver == "cpa":
+        return _cpa_steps(y2.samples.copy(), frame, coarse_set, SolverConfig(1.0, 1.0, lam=lam))
+    cfg = SolverConfig(*default_steps(model.filter), rho=rho, lam=lam)
+    ops = _DualBranchOperators(frame.signal_len, model.filter, model.factor)
+    fine_set = consistency_set(y1.samples, model.fine)
+    return _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
+
+
 def _peak_bytes(call):
     """Peak of the memory ``call()`` allocates (tracemalloc), after one
     warm-up call."""
@@ -290,20 +303,10 @@ class TestBlockScratch:
 
         length = 131072
         frame = make_tight_frame(2048, 512, 2048, length)
-        fir = design_lowpass(4)
-        model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+        model = AcquisitionModel(design_lowpass(4), 4, Quantizer(16), Quantizer(10))
         (_, x), = synth_corpus(1, 5, length / 16000, 16000)
         y1, y2 = simulate_acquisition(x, model)
-        coarse_set = consistency_set(y2.samples, model.coarse)
-        if solver == "cva":
-            cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
-            ops = _DualBranchOperators(length, fir, 4)
-            fine_set = consistency_set(y1.samples, model.fine)
-            steps = _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
-        else:
-            cfg = SolverConfig(1.0, 1.0, lam=model.coarse.step / 2)
-            steps = _cpa_steps(y2.samples.copy(), frame, coarse_set, cfg)
-        return steps, frame
+        return _step_generator(solver, rho, frame, model, y1, y2), frame
 
     @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
     def test_step_peaks_at_half_a_coefficient_array(self, solver, rho):
@@ -326,10 +329,10 @@ class TestBlockScratch:
 
     @pytest.mark.parametrize(
         "solver, rho, arrays, signals",
-        # the l1 dual and A x, or the dual alone; the coarse dual, the
-        # gradient and the look-ahead point plus the fine dual (L / 4), or
-        # the look-ahead point, the primal step and the iterate
-        [("cva", 1.0, 2, 3.25), ("cva", 1.5, 2, 3.25), ("cpa", 1.0, 1, 3.0)],
+        # the l1 dual and A x; the coarse dual, the gradient and the
+        # look-ahead point plus the fine dual (L / 4), or the look-ahead
+        # point, the primal step and the iterate
+        [("cva", 1.0, 2, 3.25), ("cva", 1.5, 2, 3.25), ("cpa", 1.0, 2, 3.0)],
     )
     def test_step_holds_its_coefficient_arrays_plus_one_mib(self, solver, rho, arrays, signals):
         # the analysis and the l1 dual update run a block of frames at a
@@ -397,6 +400,40 @@ class TestSeveralBlocks:
         for got, want in zip(self._runs(problem), default):
             np.testing.assert_allclose(got.sdr_trace, want.sdr_trace, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-12)
+
+    @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
+    def test_objective_is_the_l1_of_the_iterate(self, problem, solver, rho):
+        # A x is carried by linearity, not analyzed: check it against a
+        # direct analysis of each iterate
+        frame, model, _, y1, y2 = problem
+        steps = _step_generator(solver, rho, frame, model, y1, y2)
+        for _ in range(8):
+            x, l1 = next(steps)
+            coeffs = analyze(frame, x).reshape(frame.coeff_shape)
+            np.testing.assert_allclose(l1, np.sum(frame.coeff_weight * np.abs(coeffs)), rtol=1e-12)
+
+    @pytest.mark.parametrize("solve, passes", [("cva", 0), ("cpa", 1)])
+    def test_n_steps_analyze_n_or_n_plus_one_times(self, problem, monkeypatch, solve, passes):
+        # one analysis pass per step, for the dual update and the objective
+        # alike; the baseline's first dual update runs before its first step
+        from dualquant import solvers
+
+        frame, model, x, y1, y2 = problem
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "analyze", counted)
+        cfg = SolverConfig(lam=model.coarse.step / 2, max_iters=5)
+        if solve == "cva":
+            cva_solve(y1, y2, model, frame, cfg)
+        else:
+            cpa_solve(y2, model.coarse, frame, cfg)
+        blocks = len(list(frames._frame_blocks(frame)))
+        assert blocks > 1
+        assert len(calls) == (5 + passes) * blocks
 
 
 class TestDefaultSteps:
