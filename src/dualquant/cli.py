@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import typing
 from itertools import count, repeat
@@ -23,6 +24,7 @@ import numpy as np
 from .acquisition import AcquisitionModel, PEAK_TARGET, sdr, simulate_acquisition
 from .experiment import (
     ExperimentConfig,
+    _check_filter_taps,
     _check_type,
     _write_csv,
     automatic_lam,
@@ -34,7 +36,7 @@ from .experiment import (
     taps_digest,
     write_manifest,
 )
-from .frames import make_tight_frame
+from .frames import TfFrame, make_tight_frame
 from .quantizers import Quantizer
 from .signals import Signal, export_taps_csv, pad_to_multiple
 from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve
@@ -73,180 +75,204 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class FilterSpec:
+    """The anti-aliasing filter ``build_filter(k, num_taps, beta)``, whose
+    taps have the SHA-256 digest ``sha256`` (:func:`taps_digest`)."""
+
+    num_taps: int
+    beta: float
+    sha256: str
+
+
+@dataclasses.dataclass(frozen=True)
+class FrameSpec:
+    """The arguments of :func:`make_tight_frame` but the signal length."""
+
+    window_len: int
+    hop: int
+    num_channels: int
+
+
+@dataclasses.dataclass(frozen=True)
+class RunFiles:
+    """The observations and the reference, relative to the manifest's folder."""
+
+    y1: str
+    y2: str
+    reference: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Manifest:
+    """The run manifest: one recorded acquisition and the solver settings.
+
+    ``simulate`` writes its ``dataclasses.asdict``; ``reconstruct`` and
+    ``baseline`` read it back with :func:`_read_manifest`.  Each annotation
+    is the JSON type of its key, and each section is a dataclass of its own
+    (``solver`` is :class:`SolverConfig`, whose defaulted keys may be left out).
+    """
+
+    k: int
+    coarse_bits: int
+    fine_bits: int
+    filter: FilterSpec
+    frame: FrameSpec
+    sample_rate_hz: int
+    original_len: int
+    padded_len: int
+    normalization_scale: float
+    solver: SolverConfig
+    files: RunFiles
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """The field types of the dataclass ``cls``, evaluated once per process."""
+    return typing.get_type_hints(cls)
+
+
+def _from_json(cls, data, path, section: str = ""):
+    """``cls`` built from the JSON object ``data`` (the manifest's
+    ``section``); raise ``ValueError`` naming the dotted key of the first
+    missing, mistyped or unknown entry, or a section that is not an object."""
+    if not isinstance(data, dict):
+        if section:
+            raise ValueError(f"{path}: manifest key {section!r} is not an object")
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    hints, values = _hints(cls), {}
+    for f in dataclasses.fields(cls):
+        key = f"{section}.{f.name}" if section else f.name
+        hint = hints[f.name]
+        if f.name not in data:
+            if f.default is dataclasses.MISSING:
+                raise ValueError(f"{path}: manifest lacks key {key!r}")
+        elif dataclasses.is_dataclass(hint):
+            values[f.name] = _from_json(hint, data[f.name], path, key)
+        else:
+            _check_type(f"{path}: manifest key {key!r}", data[f.name], hint)
+            values[f.name] = data[f.name]
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ValueError(f"{path}: unknown {section or 'top-level'} keys {unknown} in manifest")
+    return cls(**values)
+
+
+def _read_manifest(path: Path) -> Manifest:
+    """The manifest at ``path``, its keys and value ranges checked."""
+    manifest = _from_json(Manifest, read_manifest(path), path)
+    # reconstruct and baseline crop, save and rescale the estimate with these
+    # after the whole solve: a bad value would give a wrong file or fail there
+    upper = {"original_len": manifest.padded_len, "sample_rate_hz": _max_rate(_ESTIMATE_BITS)}
+    for key, top in upper.items():
+        value = getattr(manifest, key)
+        if not 1 <= value <= top:
+            raise ValueError(f"{path}: manifest key {key!r} is {value}, not in [1, {top}]")
+    if manifest.normalization_scale <= 0:
+        raise ValueError(
+            f"{path}: manifest key 'normalization_scale' must be positive, "
+            f"got {manifest.normalization_scale}"
+        )
+    return manifest
+
+
+def _build_run(manifest: Manifest, path) -> tuple[TfFrame, AcquisitionModel]:
+    """The frame and the acquisition model ``manifest`` describes.  All three
+    commands build their run here, so ``simulate`` rejects what
+    ``reconstruct`` and ``baseline`` would."""
+    _check_filter_taps(manifest.filter.num_taps, manifest.padded_len)
+    fir = build_filter(manifest.k, manifest.filter.num_taps, manifest.filter.beta)
+    if taps_digest(fir) != manifest.filter.sha256:
+        raise ValueError(
+            f"{path}: filter digest mismatch; manifest does not describe "
+            "a filter this build can reproduce"
+        )
+    frame = make_tight_frame(**dataclasses.asdict(manifest.frame), signal_len=manifest.padded_len)
+    model = AcquisitionModel(
+        fir, manifest.k, Quantizer(manifest.fine_bits), Quantizer(manifest.coarse_bits)
+    )
+    return frame, model
+
+
 def cmd_simulate(args) -> int:
     x = load_wav(args.input)
     peak = float(np.max(np.abs(x.samples)))
     if peak == 0.0:
         raise ValueError(f"{args.input}: signal is identically zero")
-    scale = PEAK_TARGET / peak
-    original_len = len(x)
-    target = padded_length(original_len, args.k, args.frame_hop, args.frame_channels)
+    target = padded_length(len(x), args.k, args.frame_hop, args.frame_channels)
+    _check_filter_taps(args.filter_taps, target)
     fir = build_filter(args.k, args.filter_taps, args.filter_beta)
-    # Build what reconstruct and baseline will build from the manifest, so
-    # settings they would reject fail here, before any file is written.
-    make_tight_frame(args.frame_window, args.frame_hop, args.frame_channels, target)
     lam = args.lam if args.lam is not None else automatic_lam(args.coarse_bits)
-    cfg = SolverConfig(rho=args.rho, lam=lam, max_iters=args.iters)
-    model = AcquisitionModel(
-        fir, args.k, Quantizer(args.fine_bits), Quantizer(args.coarse_bits)
+    manifest = Manifest(
+        k=args.k,
+        coarse_bits=args.coarse_bits,
+        fine_bits=args.fine_bits,
+        filter=FilterSpec(len(fir), args.filter_beta, taps_digest(fir)),
+        frame=FrameSpec(args.frame_window, args.frame_hop, args.frame_channels),
+        sample_rate_hz=x.sample_rate_hz,
+        original_len=len(x),
+        padded_len=target,
+        normalization_scale=PEAK_TARGET / peak,
+        solver=SolverConfig(rho=args.rho, lam=lam, max_iters=args.iters),
+        files=RunFiles(y1="y1.wav", y2="y2.wav", reference="reference.wav"),
     )
-
-    x_pad = pad_to_multiple(x.with_samples(x.samples * scale), target)
-    y1, y2 = simulate_acquisition(x_pad, model)
     outdir = Path(args.outdir)
+    # the run reconstruct and baseline will build, built before any file is written
+    _, model = _build_run(manifest, outdir / "manifest.json")
+
+    x_pad = pad_to_multiple(x.with_samples(x.samples * manifest.normalization_scale), target)
+    y1, y2 = simulate_acquisition(x_pad, model)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_wav(outdir / "y1.wav", y1, bits=64)
-    save_wav(outdir / "y2.wav", y2, bits=64)
-    save_wav(outdir / "reference.wav", x_pad, bits=64)
-    export_taps_csv(fir, outdir / "taps.csv")
-    write_manifest(
-        outdir / "manifest.json",
-        {
-            "k": args.k,
-            "coarse_bits": args.coarse_bits,
-            "fine_bits": args.fine_bits,
-            "filter": {
-                "num_taps": len(fir),
-                "beta": args.filter_beta,
-                "sha256": taps_digest(fir),
-            },
-            "frame": {
-                "window_len": args.frame_window,
-                "hop": args.frame_hop,
-                "num_channels": args.frame_channels,
-            },
-            "sample_rate_hz": x.sample_rate_hz,
-            "original_len": original_len,
-            "padded_len": target,
-            "normalization_scale": scale,
-            "solver": dataclasses.asdict(cfg),
-            "files": {"y1": "y1.wav", "y2": "y2.wav", "reference": "reference.wav"},
-        },
-    )
+    save_wav(outdir / manifest.files.y1, y1, bits=64)
+    save_wav(outdir / manifest.files.y2, y2, bits=64)
+    save_wav(outdir / manifest.files.reference, x_pad, bits=64)
+    export_taps_csv(model.filter, outdir / "taps.csv")
+    write_manifest(outdir / "manifest.json", dataclasses.asdict(manifest))
     print(outdir / "manifest.json")
     return 0
 
 
-# Value type of each manifest key, dotted for section members; the solver
-# keys and their types are the SolverConfig fields.  Every key is required
-# but the solver settings that SolverConfig has a default for.
-_MANIFEST_TYPES = {
-    "k": int,
-    "coarse_bits": int,
-    "fine_bits": int,
-    "filter.num_taps": int,
-    "filter.beta": float,
-    "filter.sha256": str,
-    "frame.window_len": int,
-    "frame.hop": int,
-    "frame.num_channels": int,
-    "sample_rate_hz": int,
-    "original_len": int,
-    "padded_len": int,
-    "normalization_scale": float,
-    **{f"solver.{name}": hint for name, hint in typing.get_type_hints(SolverConfig).items()},
-    "files.y1": str,
-    "files.y2": str,
-    "files.reference": str,
-}
-_OPTIONAL_KEYS = {
-    f"solver.{f.name}"
-    for f in dataclasses.fields(SolverConfig)
-    if f.default is not dataclasses.MISSING
-}
-
-
-def _check_manifest(manifest, path) -> None:
-    """Raise ``ValueError`` naming the first missing, unknown, mistyped or out-of-range key."""
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is not a JSON object")
-    for dotted, hint in _MANIFEST_TYPES.items():
-        section, _, name = dotted.rpartition(".")
-        holder = manifest
-        if section:
-            if section not in manifest:
-                raise ValueError(f"{path}: manifest lacks key {section!r}")
-            holder = manifest[section]
-            if not isinstance(holder, dict):
-                raise ValueError(f"{path}: manifest key {section!r} is not an object")
-        if name in holder:
-            _check_type(f"{path}: manifest key {dotted!r}", holder[name], hint)
-        elif dotted not in _OPTIONAL_KEYS:
-            raise ValueError(f"{path}: manifest lacks key {dotted!r}")
-    unknown = sorted(n for n in manifest["solver"] if f"solver.{n}" not in _MANIFEST_TYPES)
-    if unknown:
-        raise ValueError(f"{path}: unknown solver keys {unknown} in manifest")
-    # reconstruct and baseline crop, save and rescale the estimate with these
-    # after the whole solve: a bad value would give a wrong file or fail there
-    upper = {"original_len": manifest["padded_len"], "sample_rate_hz": _max_rate(_ESTIMATE_BITS)}
-    for key, top in upper.items():
-        if not 1 <= manifest[key] <= top:
-            raise ValueError(f"{path}: manifest key {key!r} is {manifest[key]}, not in [1, {top}]")
-    if manifest["normalization_scale"] <= 0:
-        raise ValueError(
-            f"{path}: manifest key 'normalization_scale' must be positive, "
-            f"got {manifest['normalization_scale']}"
-        )
-
-
 def _load_run_inputs(args):
-    manifest_path = Path(args.manifest)
-    manifest = read_manifest(manifest_path)
-    _check_manifest(manifest, manifest_path)
-    base = manifest_path.parent
-    fir = build_filter(
-        manifest["k"], manifest["filter"]["num_taps"], manifest["filter"]["beta"]
-    )
-    if taps_digest(fir) != manifest["filter"]["sha256"]:
+    """The manifest, its folder, the frame and model it describes, ``y2``
+    and the reference (or None)."""
+    path = Path(args.manifest)
+    manifest = _read_manifest(path)
+    y2 = load_wav(args.y2 or path.parent / manifest.files.y2)
+    # the frame is built for padded_len samples; y2 bounds it by a real file
+    if len(y2) != manifest.padded_len:
         raise ValueError(
-            f"{manifest_path}: filter digest mismatch; manifest does not describe "
-            "a filter this build can reproduce"
+            f"{path}: manifest key 'padded_len' is {manifest.padded_len}, "
+            f"but y2 has {len(y2)} samples"
         )
-    frame = make_tight_frame(
-        manifest["frame"]["window_len"],
-        manifest["frame"]["hop"],
-        manifest["frame"]["num_channels"],
-        manifest["padded_len"],
-    )
-    y2 = load_wav(args.y2 if args.y2 else base / manifest["files"]["y2"])
-    reference = None
-    if args.reference:
-        reference = load_wav(args.reference)
-    cfg = SolverConfig(**manifest["solver"])
-    return manifest, base, fir, frame, y2, reference, cfg
+    frame, model = _build_run(manifest, path)
+    reference = load_wav(args.reference) if args.reference else None
+    return manifest, path.parent, frame, model, y2, reference
 
 
 def cmd_reconstruct(args) -> int:
-    manifest, base, fir, frame, y2, reference, cfg = _load_run_inputs(args)
-    y1 = load_wav(args.y1 if args.y1 else base / manifest["files"]["y1"])
-    model = AcquisitionModel(
-        fir,
-        manifest["k"],
-        Quantizer(manifest["fine_bits"]),
-        Quantizer(manifest["coarse_bits"]),
-    )
-    run = cva_solve(y1, y2, model, frame, cfg, reference=reference)
+    manifest, base, frame, model, y2, reference = _load_run_inputs(args)
+    y1 = load_wav(args.y1 or base / manifest.files.y1)
+    run = cva_solve(y1, y2, model, frame, manifest.solver, reference=reference)
     return _write_run_outputs(args, manifest, base, run, suffix="")
 
 
 def cmd_baseline(args) -> int:
-    manifest, base, fir, frame, y2, reference, cfg = _load_run_inputs(args)
-    coarse = Quantizer(manifest["coarse_bits"])
+    manifest, base, frame, model, y2, reference = _load_run_inputs(args)
     # a manifest's steps are the dual-branch solver's; the baseline runs its own
-    baseline_cfg = dataclasses.replace(cfg, tau=None, sigma=None)
-    run = cpa_solve(y2, coarse, frame, baseline_cfg, reference=reference)
+    cfg = dataclasses.replace(manifest.solver, tau=None, sigma=None)
+    run = cpa_solve(y2, model.coarse, frame, cfg, reference=reference)
     return _write_run_outputs(args, manifest, base, run, suffix="_baseline")
 
 
-def _write_run_outputs(args, manifest, base, run: SolverRun, suffix: str) -> int:
+def _write_run_outputs(args, manifest: Manifest, base, run: SolverRun, suffix: str) -> int:
     """Save the estimate (``--out``, else ``xhat<suffix>.wav``) and the trace
     (``--trace``, else ``trace<suffix>.csv``) and print the estimate's path."""
     out = Path(args.out) if args.out else base / f"xhat{suffix}.wav"
     trace = Path(args.trace) if args.trace else base / f"trace{suffix}.csv"
     # Back to the input's amplitude domain: drop padding, undo normalization.
-    estimate = run.estimate.samples[: manifest["original_len"]]
-    estimate = estimate / manifest["normalization_scale"]
-    save_wav(out, Signal(estimate, manifest["sample_rate_hz"]), bits=_ESTIMATE_BITS)
+    estimate = run.estimate.samples[: manifest.original_len]
+    estimate = estimate / manifest.normalization_scale
+    save_wav(out, Signal(estimate, manifest.sample_rate_hz), bits=_ESTIMATE_BITS)
     sdrs = repeat(None) if run.sdr_trace is None else run.sdr_trace
     _write_csv(trace, ["iteration", "objective", "sdr"], zip(count(1), run.objective_trace, sdrs))
     print(out)
@@ -265,7 +291,10 @@ def cmd_grid(args) -> int:
         cfg.output_dir = args.output_dir
     rows = run_grid(cfg)
     done = sum(1 for r in rows if r.sdr_cva is not None)
-    print(f"{len(rows)} cells ({done} completed) -> {Path(cfg.output_dir) / 'results.csv'}")
+    results = Path(cfg.output_dir) / "results.csv"
+    if not done:
+        raise ValueError(f"no grid cell completed; {results} holds the {len(rows)} failed rows")
+    print(f"{len(rows)} cells ({done} completed) -> {results}")
     return 0
 
 

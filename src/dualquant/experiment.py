@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -66,11 +67,12 @@ def _check_type(label: str, value, hint) -> None:
             (inner,) = set(args) - {type(None)}
             _check_type(label, value, inner)
     # bool is an int subclass, but true/false is no count or step size;
-    # JSON NaN and Infinity pass every ``<=`` check of a config
+    # JSON NaN and Infinity pass every ``<=`` check of a config, and an
+    # integer beyond the float range has no float value
     elif (
         isinstance(value, bool) != (hint is bool)
         or not isinstance(value, (int, float) if hint is float else hint)
-        or (hint is float and not math.isfinite(value))
+        or (hint is float and not abs(value) <= sys.float_info.max)
     ):
         raise ValueError(f"{label} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
@@ -216,6 +218,16 @@ def build_filter(k: int, num_taps: int = 129, beta: float = 8.0) -> FirFilter:
     return design_lowpass(k, num_taps, beta)
 
 
+def _check_filter_taps(num_taps: int, signal_len: int) -> None:
+    """Raise ``ValueError`` if a filter of ``num_taps`` taps is longer than
+    the padded signal it filters; run before :func:`build_filter` designs
+    it, so a size from a file allocates nothing before it is checked."""
+    if num_taps > signal_len:
+        raise ValueError(
+            f"filter of {num_taps} taps is longer than the padded signal ({signal_len} samples)"
+        )
+
+
 def padded_length(length: int, k: int, hop: int, channels: int) -> int:
     """Smallest admissible signal length >= ``length`` for the pipeline."""
     named = {"signal length": length, "factor k": k, "frame hop": hop, "frame channels": channels}
@@ -347,14 +359,14 @@ def run_grid(cfg: ExperimentConfig) -> list[GridRow]:
     corpus = _load_corpus(cfg)
     if not corpus:
         raise ValueError("experiment corpus is empty")
+    targets = [padded_length(len(x), cfg.k, cfg.frame_hop, cfg.frame_channels) for _, x in corpus]
+    _check_filter_taps(cfg.filter_taps, min(targets))
     fir = build_filter(cfg.k, cfg.filter_taps, cfg.filter_beta)
     frames: dict[int, TfFrame] = {}
 
     jobs = []
-    for signal_id, x in corpus:
-        x = peak_normalize(x)
-        target = padded_length(len(x), cfg.k, cfg.frame_hop, cfg.frame_channels)
-        x_pad = pad_to_multiple(x, target)
+    for (signal_id, x), target in zip(corpus, targets):
+        x_pad = pad_to_multiple(peak_normalize(x), target)
         if target not in frames:
             frames[target] = make_tight_frame(
                 cfg.frame_window, cfg.frame_hop, cfg.frame_channels, target

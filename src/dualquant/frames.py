@@ -71,6 +71,15 @@ def _hop_energy(g: np.ndarray, hop: int) -> np.ndarray:
     return energy
 
 
+def _check_painless(window_len: int, num_channels: int) -> None:
+    """Raise ``ValueError`` unless the window fits in one period of the
+    channels, the painless case this module is restricted to."""
+    if window_len > num_channels:
+        raise ValueError(
+            f"window length {window_len} exceeds channel count {num_channels}: not painless"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TfFrame:
     """Tight Gabor frame for real signals, bound to a fixed signal length.
@@ -110,10 +119,7 @@ class TfFrame:
             raise ValueError("hop must be >= 1")
         if hop > w:
             raise ValueError(f"hop {hop} exceeds window length {w}: coverage gap")
-        if w > m:
-            raise ValueError(
-                f"window length {w} exceeds channel count {m}: not painless"
-            )
+        _check_painless(w, m)
         if length % hop or length % m:
             raise ValueError(
                 f"signal length {length} must be a multiple of hop {hop} "
@@ -151,6 +157,7 @@ def make_tight_frame(
 
         w[n] = g[n] / sqrt(M * sum_j g[n - j*hop]^2)
     """
+    _check_painless(window_len, num_channels)  # before the window is allocated
     g = hann_window(window_len)
     if hop < 1 or hop > window_len:
         raise ValueError(f"hop must lie in [1, window_len]; got {hop}")

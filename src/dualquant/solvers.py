@@ -70,6 +70,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _STEP_SLACK = 1e-12
+# The most iterations a run may ask for: its traces are allocated up front.
+_MAX_ITERS = 10**6
 
 
 class FeasibilityGap(NamedTuple):
@@ -108,6 +110,11 @@ class SolverConfig:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.max_iters > _MAX_ITERS:
+            raise ValueError(
+                f"max_iters must be <= {_MAX_ITERS}, got {self.max_iters}: a run allocates "
+                "its objective and SDR traces up front, 16 bytes per iteration"
+            )
 
     def _with_steps(self, tau: float, sigma: float) -> "SolverConfig":
         """This config, with ``tau`` and ``sigma`` in place of unset steps."""

@@ -1,11 +1,14 @@
-import dataclasses
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualquant import SolverConfig, cli, default_steps, load_wav, sdr
+from dualquant import cli, default_steps, experiment, frames, load_wav, sdr
 from dualquant.cli import main
 from dualquant.experiment import ExperimentConfig, build_filter, read_manifest
 
@@ -146,6 +149,32 @@ class TestSimulate(object):
         assert len(err.strip().splitlines()) == 1
         assert not (outdir / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--iters", str(10**6 + 1), "16 bytes per iteration"),
+            ("--iters", str(10**12), "16 bytes per iteration"),
+            ("--filter-taps", str(10**9), "longer than the padded signal"),
+            ("--frame-window", str(10**9), "exceeds channel count"),
+        ],
+    )
+    def test_size_rejected_before_allocation(
+        self, workspace, capsys, monkeypatch, flag, value, message
+    ):
+        def refuse_window(length):
+            pytest.fail(f"hann_window ran with {length} samples before they were checked")
+
+        monkeypatch.setattr(cli, "build_filter", _refuse_taps(cli.build_filter, int(value)))
+        monkeypatch.setattr(frames, "hann_window", refuse_window)
+        tmp_path, wav = workspace
+        capsys.readouterr()
+        outdir = tmp_path / "o"
+        assert main(["simulate", str(wav), "--outdir", str(outdir), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not outdir.exists()
+
     def test_model_defaults_are_the_grid_defaults(self, workspace):
         tmp_path, wav = workspace
         assert main(["simulate", str(wav), "--outdir", str(tmp_path / "run")]) == 0
@@ -281,17 +310,144 @@ class TestReconstruct:
             assert len(err.strip().splitlines()) == 1
             assert not (outdir / estimate).exists()
 
-    def test_manifest_table_lists_the_solver_config_fields(self):
-        solver = {k.split(".")[1] for k in cli._MANIFEST_TYPES if k.startswith("solver.")}
-        assert solver == {f.name for f in dataclasses.fields(SolverConfig)}
-
-    def test_manifest_table_lists_every_key_simulate_writes(self, workspace):
+    def test_written_manifest_reads_back_as_built(self, workspace, monkeypatch):
+        # simulate builds its run from the manifest it writes; reading that
+        # file back gives the same manifest, every key and value
         tmp_path, wav = workspace
-        manifest = read_manifest(simulate(tmp_path, wav, tmp_path / "run") / "manifest.json")
-        written = set()
-        for key, value in manifest.items():
-            written |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
-        assert written == set(cli._MANIFEST_TYPES)
+        built = []
+        real = cli._build_run
+
+        def record(manifest, path):
+            built.append(manifest)
+            return real(manifest, path)
+
+        monkeypatch.setattr(cli, "_build_run", record)
+        outdir = simulate(tmp_path, wav, tmp_path / "run")
+        assert len(built) == 1
+        assert cli._read_manifest(outdir / "manifest.json") == built[0]
+
+    @pytest.mark.parametrize("section", [None, "filter", "frame", "files"])
+    def test_manifest_unknown_key_reported_in_every_section(self, workspace, capsys, section):
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="2")
+        manifest = read_manifest(outdir / "manifest.json")
+        (manifest[section] if section else manifest)["gamma"] = 0.5
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("reconstruct", "baseline"):
+            assert main([command, str(outdir / "manifest.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "unknown" in err and "'gamma'" in err
+            assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("solver", "max_iters", 10**12, "16 bytes per iteration"),
+            ("filter", "num_taps", 10**9, "longer than the padded signal"),
+            # JSON integers are exact: these pass an int check but have no float value
+            (None, "normalization_scale", 10**400, "'normalization_scale' must be a finite"),
+            ("solver", "lam", 10**400, "'solver.lam' must be a finite number"),
+        ],
+        ids=["max_iters", "num_taps", "normalization_scale", "lam"],
+    )
+    def test_manifest_value_rejected_before_allocation(
+        self, workspace, capsys, monkeypatch, section, key, value, message
+    ):
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="2")
+        manifest = read_manifest(outdir / "manifest.json")
+        (manifest[section] if section else manifest)[key] = value
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(cli, "build_filter", _refuse_taps(cli.build_filter, value))
+        capsys.readouterr()
+        for command in ("reconstruct", "baseline"):
+            assert main([command, str(outdir / "manifest.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
+
+    def test_frame_size_bounded_by_the_observation(self, workspace, capsys, monkeypatch):
+        # window, channels and padded length agree with each other, but not
+        # with y2: no window of that length may be built
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="2")
+        manifest = read_manifest(outdir / "manifest.json")
+        manifest["frame"].update(window_len=2**33, num_channels=2**33)
+        manifest["padded_len"] = 2**33
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+
+        def refuse_window(length):
+            pytest.fail(f"hann_window ran with {length} samples before they were checked")
+
+        monkeypatch.setattr(frames, "hann_window", refuse_window)
+        capsys.readouterr()
+        for command in ("reconstruct", "baseline"):
+            assert main([command, str(outdir / "manifest.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "'padded_len' is 8589934592, but y2 has" in err
+            assert len(err.strip().splitlines()) == 1
+
+
+def _refuse_taps(build_filter, num_taps):
+    """``build_filter``, but failing the test when asked for ``num_taps`` taps."""
+
+    def checked(k, taps=129, beta=8.0):
+        if taps == num_taps:
+            pytest.fail(f"build_filter ran with {taps} taps before they were checked")
+        return build_filter(k, taps, beta)
+
+    return checked
+
+
+# One manifest value at a time; none is legal and large enough to make a
+# run allocate or iterate much.
+EDGE_VALUES = [0, -1, 1, 2.5, 1e308, 2**62, None, True, "text", ["list"], {"key": 1}]
+
+
+def _keys(manifest, section=""):
+    """Every key of ``manifest``, dotted for section members, sections too."""
+    for name, value in manifest.items():
+        key = f"{section}.{name}" if section else name
+        yield key
+        if isinstance(value, dict):
+            yield from _keys(value, key)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A simulated 400-sample run (window 64, hop 16, 64 channels, one iteration)."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    synth = ["synth", "--outdir", str(tmp), "--count", "1", "--duration", "0.05", "--rate", "8000"]
+    assert main(synth) == 0
+    sizes = ["--frame-window", "64", "--frame-hop", "16", "--frame-channels", "64", "--iters", "1"]
+    outdir = tmp / "run"
+    assert main(["simulate", str(tmp / "synthetic-000.wav"), "--outdir", str(outdir), *sizes]) == 0
+    return outdir
+
+
+class TestManifestFuzz:
+    @settings(max_examples=120, derandomize=True)
+    @given(data=st.data())
+    def test_one_edited_key_runs_or_is_one_error_line(self, tiny_run, data):
+        manifest = read_manifest(tiny_run / "manifest.json")
+        key = data.draw(st.sampled_from(sorted(_keys(manifest))), label="key")
+        value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
+        section, _, name = key.rpartition(".")
+        (manifest[section] if section else manifest)[name] = value
+        path = tiny_run / "edited.json"
+        path.write_text(json.dumps(manifest))
+        outputs = ["--out", str(tiny_run / "xhat.wav"), "--trace", str(tiny_run / "trace.csv")]
+        reference = ["--reference", str(tiny_run / "reference.wav")]
+        for command in ("reconstruct", "baseline"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main([command, str(path), *reference, *outputs])
+            lines = err.getvalue().splitlines()
+            assert (rc, lines) == (0, []) or (
+                rc == 1 and len(lines) == 1 and lines[0].startswith("error:")
+            ), (command, key, value, rc, lines)
 
 
 class TestManifestSteps:
@@ -398,6 +554,66 @@ class TestGridCommand:
         assert rc == 0
         assert (tmp_path / "grid" / "results.csv").exists()
         assert "1 cells (1 completed)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "failing, rc", [({8, 10}, 1), ({8}, 0)], ids=["none-completes", "one-completes"]
+    )
+    def test_exit_status_tells_whether_any_cell_completed(
+        self, tmp_path, capsys, monkeypatch, failing, rc
+    ):
+        real = experiment.cva_solve
+
+        def flaky(y1, y2, model, frame, cfg=None, reference=None):
+            if model.coarse.bits in failing:
+                raise ValueError("injected failure")
+            return real(y1, y2, model, frame, cfg, reference)
+
+        monkeypatch.setattr(experiment, "cva_solve", flaky)
+        cfg = {
+            "synth_count": 1, "synth_duration_s": 0.05, "synth_rate_hz": 8000,
+            "coarse_bits": [8, 10], "fine_bits": [14], "frame_window": 64, "frame_hop": 16,
+            "frame_channels": 64, "max_iters": 2, "output_dir": str(tmp_path / "grid"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["grid", str(path)]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert err.startswith("error:") and "no grid cell completed" in err
+            assert len(err.strip().splitlines()) == 1
+        else:
+            assert err == "" and "2 cells (1 completed)" in out
+        rows = (tmp_path / "grid" / "results.csv").read_text().splitlines()
+        assert len(rows) == 3  # the header and both cells, failed or not
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_iters", 10**12, "16 bytes per iteration"),
+            ("filter_taps", 10**9, "longer than the padded signal"),
+            ("frame_window", 10**9, "exceeds channel count"),
+        ],
+    )
+    def test_size_rejected_before_allocation(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        def refuse_window(length):
+            pytest.fail(f"hann_window ran with {length} samples before they were checked")
+
+        monkeypatch.setattr(
+            experiment, "build_filter", _refuse_taps(experiment.build_filter, value)
+        )
+        monkeypatch.setattr(frames, "hann_window", refuse_window)
+        cfg = {"synth_count": 1, "synth_duration_s": 0.05, "synth_rate_hz": 8000,
+               "coarse_bits": [10], "fine_bits": [14], key: value,
+               "output_dir": str(tmp_path / "grid")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["grid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid").exists()
 
     def test_repeated_bit_depth_reported(self, tmp_path, capsys):
         cfg = {"coarse_bits": [10, 10], "fine_bits": [14], "output_dir": str(tmp_path / "grid")}

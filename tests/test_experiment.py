@@ -84,6 +84,8 @@ class TestConfig:
             # a repeated depth would run its cells twice
             ({"coarse_bits": [10, 10]}, "config key 'coarse_bits' must list distinct"),
             ({"fine_bits": [20, 16, 20]}, "config key 'fine_bits' must list distinct"),
+            # a JSON integer with no float value
+            ({"filter_beta": 10**400}, "config key 'filter_beta' must be a finite number"),
         ],
     )
     def test_mistyped_config_rejected(self, tmp_path, data, message):

@@ -46,6 +46,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_tight_frame(8, 2, 4, 16)
 
+    def test_window_wider_than_channels_rejected_before_allocation(self, monkeypatch):
+        def refuse(length):
+            pytest.fail(f"hann_window ran with {length} samples before they were checked")
+
+        monkeypatch.setattr(frames, "hann_window", refuse)
+        with pytest.raises(ValueError, match="window length 1000000000 exceeds channel count 64"):
+            make_tight_frame(10**9, 16, 64, 448)
+
     def test_length_not_multiple_of_hop_rejected(self):
         with pytest.raises(ValueError):
             make_tight_frame(4, 3, 4, 16)

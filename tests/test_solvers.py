@@ -469,6 +469,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(0.5, 0.5, max_iters=0)
 
+    def test_iteration_count_capped(self):
+        # a run allocates its two traces up front, 16 bytes per iteration
+        assert SolverConfig(max_iters=10**6).max_iters == 10**6
+        for iters in (10**6 + 1, 10**12):
+            with pytest.raises(ValueError, match="max_iters must be <= 1000000, .*16 bytes"):
+                SolverConfig(max_iters=iters)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            SolverConfig(max_iters=0)
+
     def test_non_finite_rejected(self):
         nan, inf = float("nan"), float("inf")
         for kwargs in (
