@@ -66,9 +66,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
+    corpus = synth_corpus(args.count, args.seed, args.duration, args.rate)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, sig in synth_corpus(args.count, args.seed, args.duration, args.rate):
+    for name, sig in corpus:
         path = outdir / f"{name}.wav"
         save_wav(path, sig, bits=args.bits)
         print(path)

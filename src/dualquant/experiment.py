@@ -48,6 +48,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# The most samples a padded signal, or a synthetic corpus, may have (46 min
+# at 48 kHz): both come from sizes in files and flags, and a run holds
+# several float64 arrays of the padded length and frame coefficients of a
+# few times it.
+_MAX_SAMPLES = 2**27
+
 # What a JSON setting must be for each declared type of a settings field.
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
 
@@ -235,7 +241,13 @@ def padded_length(length: int, k: int, hop: int, channels: int) -> int:
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     base = math.lcm(k, hop, channels)
-    return ((length + base - 1) // base) * base
+    padded = ((length + base - 1) // base) * base
+    if padded > _MAX_SAMPLES:
+        raise ValueError(
+            f"padded signal length {padded} (a multiple of lcm(k, frame hop, frame channels)"
+            f" = {base}) exceeds {_MAX_SAMPLES} samples: a run holds several arrays of it"
+        )
+    return padded
 
 
 def synth_sparse_signal(rng: np.random.Generator, duration_s: float, rate_hz: int) -> Signal:
@@ -264,6 +276,13 @@ def synth_sparse_signal(rng: np.random.Generator, duration_s: float, rate_hz: in
 def synth_corpus(
     count: int, seed: int, duration_s: float, rate_hz: int
 ) -> list[tuple[str, Signal]]:
+    total = count * duration_s * rate_hz
+    # ``not <=`` also rejects NaN
+    if not total <= _MAX_SAMPLES:
+        raise ValueError(
+            f"a synthetic corpus of {count} signals of {duration_s} s at {rate_hz} Hz must have "
+            f"at most {_MAX_SAMPLES} samples (it is held in memory), got {total:g}"
+        )
     rng = np.random.default_rng(seed)
     return [
         (f"synthetic-{i:03d}", synth_sparse_signal(rng, duration_s, rate_hz))

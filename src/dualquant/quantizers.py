@@ -117,11 +117,12 @@ def consistency_set(y, q: Quantizer) -> ConsistencySet:
     return ConsistencySet(lower, upper)
 
 
-def project(cs: ConsistencySet, x):
-    """Euclidean projection onto the box: per-sample clamp."""
+def project(cs: ConsistencySet, x, out=None):
+    """Euclidean projection onto the box: per-sample clamp.  With ``out``
+    (a float64 array of the box's length) the clamp is written there."""
     arr = samples_of(x)
     if arr.size != len(cs):
         raise ValueError(
             f"signal length {arr.size} does not match box length {len(cs)}"
         )
-    return _rewrap(x, np.clip(arr, cs.lower, cs.upper))
+    return _rewrap(x, np.clip(arr, cs.lower, cs.upper, out=out))

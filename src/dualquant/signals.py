@@ -8,10 +8,10 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import firwin
 
 __all__ = [
     "Signal",
@@ -219,10 +219,74 @@ def upsample_adjoint(y, d: Downsampler, out_len: int):
     return _rewrap(y, out, rate)
 
 
+# Chebyshev coefficients of the modified Bessel function I0 from Cephes
+# (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989):
+# of exp(-x) I0(x) in x/2 - 2 on [0, 8], and of exp(-x) sqrt(x) I0(x) in
+# 32/x - 2 above 8.
+_I0_SMALL = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17, -2.43127984654795469359e-16,
+    1.71539128555513303061e-15, -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12, -1.72682629144155570723e-11,
+    9.67580903537323691224e-11, -5.18979560163526290666e-10, 2.65982372468238665035e-09,
+    -1.30002500998624804212e-08, 6.04699502254191894932e-08, -2.67079385394061173391e-07,
+    1.11738753912010371815e-06, -4.41673835845875056359e-06, 1.64484480707288970893e-05,
+    -5.75419501008210370398e-05, 1.88502885095841655729e-04, -5.76375574538582365885e-04,
+    1.63947561694133579842e-03, -4.32430999505057594430e-03, 1.05464603945949983183e-02,
+    -2.37374148058994688156e-02, 4.93052842396707084878e-02, -9.49010970480476444210e-02,
+    1.71620901522208775349e-01, -3.04682672343198398683e-01, 6.76795274409476084995e-01,
+)
+_I0_LARGE = (
+    -7.23318048787475395456e-18, -4.83050448594418207126e-18, 4.46562142029675999901e-17,
+    3.46122286769746109310e-17, -2.82762398051658348494e-16, -3.42548561967721913462e-16,
+    1.77256013305652638360e-15, 3.81168066935262242075e-15, -9.55484669882830764870e-15,
+    -4.15056934728722208663e-14, 1.54008621752140982691e-14, 3.85277838274214270114e-13,
+    7.18012445138366623367e-13, -1.79417853150680611778e-12, -1.32158118404477131188e-11,
+    -3.14991652796324136454e-11, 1.18891471078464383424e-11, 4.94060238822496958910e-10,
+    3.39623202570838634515e-09, 2.26666899049817806459e-08, 2.04891858946906374183e-07,
+    2.89137052083475648297e-06, 6.88975834691682398426e-05, 3.36911647825569408990e-03,
+    8.04490411014108831608e-01,
+)
+
+
+def _chebyshev(y: np.ndarray, coeffs) -> np.ndarray:
+    """The Chebyshev series ``coeffs`` at ``y`` by Clenshaw's recurrence,
+    one rounding per operation in Cephes's order."""
+    b0, b1 = coeffs[0], 0.0
+    for c in coeffs[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _bessel_i0(x: np.ndarray) -> np.ndarray:
+    """I0 of the non-negative ``x`` as Cephes computes it (as
+    ``scipy.special.i0`` does), with ``exp`` from the C library: numpy's
+    vectorized ``exp`` may differ from it in the last bit."""
+    out = np.array([math.exp(v) for v in x.tolist()])
+    # a series runs only if some argument needs it; at beta <= 8 none is above 8
+    small = x <= 8.0
+    if small.any():
+        out[small] *= _chebyshev(x[small] / 2.0 - 2.0, _I0_SMALL)
+    large = ~small
+    if large.any():
+        s = x[large]
+        out[large] = out[large] * _chebyshev(32.0 / s - 2.0, _I0_LARGE) / np.sqrt(s)
+    return out
+
+
+# The largest Kaiser beta: above it exp(beta), and with it I0(beta),
+# overflows a float.
+_MAX_BETA = math.log(np.finfo(np.float64).max)
+
+
 def design_lowpass(k: int, num_taps: int = 129, beta: float = 8.0) -> FirFilter:
     """Kaiser-windowed-sinc low-pass with cutoff at 1/(2k) cycles per sample.
 
     The taps are symmetric (linear phase) and normalized to unit DC gain.
+    They equal ``scipy.signal.firwin(num_taps, 1/k, window=("kaiser",
+    beta))`` bit for bit, because each step below is an operation of firwin
+    and of its Kaiser window, in their order; a manifest records their
+    digest.
     """
     if k < 2:
         raise ValueError("anti-aliasing design requires factor k >= 2")
@@ -230,7 +294,18 @@ def design_lowpass(k: int, num_taps: int = 129, beta: float = 8.0) -> FirFilter:
         raise ValueError("num_taps must be odd and >= 3")
     if beta < 0:
         raise ValueError("Kaiser beta must be >= 0")
-    taps = firwin(num_taps, 1.0 / k, window=("kaiser", float(beta)))
+    if not beta <= _MAX_BETA:
+        raise ValueError(f"Kaiser beta must be <= {_MAX_BETA!r}, where I0 overflows; got {beta}")
+    beta = float(beta)
+    cutoff = 1.0 / k
+    alpha = 0.5 * (num_taps - 1)
+    n = np.arange(num_taps, dtype=np.float64)
+    taps = cutoff * np.sinc(cutoff * (n - alpha))
+    # the window's I0 values and its normalizer I0(beta) in one evaluation
+    arg = np.append(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0), beta)
+    i0 = _bessel_i0(arg)
+    taps *= i0[:-1] / i0[-1]
+    taps /= np.sum(taps)
     return FirFilter(taps)
 
 

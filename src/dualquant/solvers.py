@@ -249,9 +249,9 @@ class _DualBranchOperators:
     read circularly into one line from the start of its first block b0
     (``b0 * k * Q - P`` down, ``b0 * Q`` up).  The instance holds the lines,
     spectra and time blocks (none grows with L), so one instance serves one
-    solve at a time.  Each call returns a fresh array (a view of one),
-    because with ``rho == 1`` the solver keeps the ``down_filter`` output as
-    its fine-branch dual.
+    solve at a time.  ``down_filter`` returns a fresh array (a view of one),
+    because with ``rho == 1`` the solver keeps its output as its fine-branch
+    dual.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -304,10 +304,17 @@ class _DualBranchOperators:
             out[b0 : b0 + rows] = time[:, lead // k : lead // k + per_block]
         return out.reshape(-1)[: self.short_len]
 
-    def up_filter_adjoint(self, w: np.ndarray) -> np.ndarray:
+    def up_filter_adjoint(self, w: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+        """``B^T D_k^T w``, as a fresh array, or added into ``add_to`` (of
+        length L), which is returned: the solver adds it straight into its
+        gradient."""
         n, short, stride = self._size, self._short, self._stride
         half = short // 2
-        out = np.empty((self._blocks, stride))
+        out = np.zeros(self.length) if add_to is None else add_to
+        # blocks 0 .. whole - 1 lie inside the signal; a last block past
+        # them is cut at its end
+        whole = self.length // stride
+        rows_of = out[: whole * stride].reshape(whole, stride)
         for b0 in range(0, self._blocks, self._chunk):
             rows = min(self._chunk, self._blocks - b0)
             full = self._full[:rows]
@@ -323,15 +330,19 @@ class _DualBranchOperators:
                     out=spec[:, r : r + width],
                 )
             time = np.fft.irfft(spec, n, axis=1, out=self._time[:rows])
-            out[b0 : b0 + rows] = time[:, :stride]
-        return out.reshape(-1)[: self.length]
+            inside = min(rows, whole - b0)
+            rows_of[b0 : b0 + inside] += time[:inside, :stride]
+            if inside < rows:
+                out[whole * stride :] += time[inside, : self.length - whole * stride]
+        return out
 
 
-def _box_dual_prox(p, box: ConsistencySet):
-    """``p - project(box, p)``, computed in ``p``: the dual prox of a box
+def _box_dual_prox(p, box: ConsistencySet, scratch: np.ndarray):
+    """``p - project(box, p)``, computed in ``p`` with the projection in
+    the first ``p.size`` entries of ``scratch``: the dual prox of a box
     indicator, divided by sigma, at ``p = y + K x`` (see the module
     docstring for the scaling)."""
-    p -= project(box, p)
+    p -= project(box, p, out=scratch[: p.size])
     return p
 
 
@@ -519,23 +530,23 @@ def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_se
     while True:
         # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
         synthesize(frame, l1.dual, out=grad)
-        grad += ops.up_filter_adjoint(y2)
+        ops.up_filter_adjoint(y2, add_to=grad)
         grad += y3
         # x_tilde = x - tau * grad is not formed: the look-ahead point is
         # 2 * x_tilde - x and the primal step is rho * (x_tilde - x).
         np.multiply(grad, -2.0 * tau * sigma, out=lookahead)
         lookahead += x
-        step = np.multiply(grad, -rho * tau * sigma, out=grad)
+        grad *= -rho * tau * sigma
+        x += grad
+        # grad is free from here on: both box projections are formed in it
         objective = l1.update(lookahead)
         p2 = ops.down_filter(lookahead)
         p2 += y2
         # the buffer _relax frees is dropped: down_filter returns a new one
-        y2 = _relax(y2, _box_dual_prox(p2, fine_set), rho)[0]
+        y2 = _relax(y2, _box_dual_prox(p2, fine_set, grad), rho)[0]
         del p2  # with rho != 1 it is that freed buffer
         lookahead += y3
-        y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set), rho)
-
-        x += step
+        y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set, grad), rho)
         yield x, objective
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import struct
@@ -74,6 +75,24 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--duration", "1e9"), ("--duration", "nan"), ("--count", "10000")]
+    )
+    def test_corpus_size_rejected_before_allocation(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        monkeypatch.setattr(experiment, "synth_sparse_signal", _refuse("synth_sparse_signal"))
+        outdir = tmp_path / "s"
+        sizes = {"--count": "1", "--duration": "2", "--rate": "48000", flag: value}
+        argv = ["synth", "--outdir", str(outdir)]
+        for pair in sizes.items():
+            argv.extend(pair)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at most 134217728 samples" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not outdir.exists()
 
 
 class TestSimulate(object):
@@ -156,6 +175,8 @@ class TestSimulate(object):
             ("--iters", str(10**12), "16 bytes per iteration"),
             ("--filter-taps", str(10**9), "longer than the padded signal"),
             ("--frame-window", str(10**9), "exceeds channel count"),
+            ("--frame-channels", str(2**33), "exceeds 134217728 samples"),
+            ("--frame-hop", str(2**40), "exceeds 134217728 samples"),
         ],
     )
     def test_size_rejected_before_allocation(
@@ -390,6 +411,15 @@ class TestReconstruct:
             assert len(err.strip().splitlines()) == 1
 
 
+def _refuse(name):
+    """A stand-in for the allocator ``name`` that fails the test if called."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail(f"{name} ran before the sizes were checked")
+
+    return refuse
+
+
 def _refuse_taps(build_filter, num_taps):
     """``build_filter``, but failing the test when asked for ``num_taps`` taps."""
 
@@ -441,13 +471,89 @@ class TestManifestFuzz:
         outputs = ["--out", str(tiny_run / "xhat.wav"), "--trace", str(tiny_run / "trace.csv")]
         reference = ["--reference", str(tiny_run / "reference.wav")]
         for command in ("reconstruct", "baseline"):
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                rc = main([command, str(path), *reference, *outputs])
-            lines = err.getvalue().splitlines()
-            assert (rc, lines) == (0, []) or (
-                rc == 1 and len(lines) == 1 and lines[0].startswith("error:")
-            ), (command, key, value, rc, lines)
+            _assert_runs_or_one_error_line([command, str(path), *reference, *outputs], key, value)
+
+
+def _assert_runs_or_one_error_line(argv, *case):
+    """``main(argv)`` exits 0 with nothing on stderr, or 1 with one ``error:`` line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert (rc, lines) == (0, []) or (
+        rc == 1 and len(lines) == 1 and lines[0].startswith("error:")
+    ), (argv[0], *case, rc, lines)
+
+
+# A one-cell grid on one 400-sample signal (window 64, hop 16, 64 channels,
+# one iteration).  output_dir and workers are not fuzzed: an edge value
+# there would write outside the test's folder or ask for that many threads.
+TINY_GRID = {
+    "synth_count": 1, "synth_duration_s": 0.05, "synth_rate_hz": 8000, "coarse_bits": [8],
+    "fine_bits": [14], "frame_window": 64, "frame_hop": 16, "frame_channels": 64, "max_iters": 1,
+}
+GRID_KEYS = sorted(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("output_dir", "workers")
+)
+
+
+class TestGridConfigFuzz:
+    @settings(max_examples=150, derandomize=True)
+    @given(data=st.data())
+    def test_one_edited_key_runs_or_is_one_error_line(self, tmp_path_factory, data):
+        key = data.draw(st.sampled_from(GRID_KEYS), label="key")
+        value = data.draw(st.sampled_from(EDGE_VALUES), label="value")
+        folder = tmp_path_factory.mktemp("grid")
+        path = folder / "config.json"
+        path.write_text(json.dumps({**TINY_GRID, key: value, "output_dir": str(folder / "out")}))
+        _assert_runs_or_one_error_line(["grid", str(path)], key, value)
+
+
+# (offset, struct format) of each field of the 44-byte header save_wav writes
+WAV_FIELDS = {
+    "riff": (0, "4s"), "riff_size": (4, "<I"), "wave": (8, "4s"), "fmt": (12, "4s"),
+    "fmt_size": (16, "<I"), "audio_format": (20, "<H"), "channels": (22, "<H"),
+    "rate": (24, "<I"), "byte_rate": (28, "<I"), "block_align": (32, "<H"),
+    "bits": (34, "<H"), "data": (36, "4s"), "data_size": (40, "<I"),
+}
+
+
+def _field_values(fmt):
+    """Edge values of a header field: a wrong or empty tag; or 0, 1, the
+    format tags and sample widths the reader knows, the top bit and all
+    ones (-1 and 2^62, cut to the field)."""
+    if fmt == "4s":
+        return [b"text", b"\0\0\0\0"]
+    top = 2 ** (8 * struct.calcsize(fmt)) - 1
+    return [0, 1, 2, 3, 8, 16, 24, 32, 64, top // 2 + 1, top]
+
+
+@pytest.fixture(scope="module")
+def tiny_wav(tmp_path_factory):
+    """A 400-sample 16-bit WAV at 8 kHz."""
+    folder = tmp_path_factory.mktemp("wav")
+    synth = ["synth", "--outdir", str(folder), "--count", "1", "--duration", "0.05",
+             "--rate", "8000", "--bits", "16"]
+    assert main(synth) == 0
+    return folder / "synthetic-000.wav"
+
+
+class TestWavHeaderFuzz:
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data())
+    def test_one_edited_field_runs_or_is_one_error_line(self, tiny_wav, tmp_path_factory, data):
+        field = data.draw(st.sampled_from(sorted(WAV_FIELDS)), label="field")
+        offset, fmt = WAV_FIELDS[field]
+        value = data.draw(st.sampled_from(_field_values(fmt)), label="value")
+        raw = bytearray(tiny_wav.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        folder = tmp_path_factory.mktemp("edited")
+        path = folder / "edited.wav"
+        path.write_bytes(bytes(raw))
+        sizes = ["--frame-window", "64", "--frame-hop", "16", "--frame-channels", "64"]
+        simulate = ["simulate", str(path), "--outdir", str(folder / "run"), *sizes, "--iters", "1"]
+        _assert_runs_or_one_error_line(simulate, field, value)
+        _assert_runs_or_one_error_line(["sdr", str(path), str(path)], field, value)
 
 
 class TestManifestSteps:
@@ -592,18 +698,24 @@ class TestGridCommand:
             ("max_iters", 10**12, "16 bytes per iteration"),
             ("filter_taps", 10**9, "longer than the padded signal"),
             ("frame_window", 10**9, "exceeds channel count"),
+            ("frame_channels", 2**33, "exceeds 134217728 samples"),
+            ("frame_hop", 2**40, "exceeds 134217728 samples"),
+            ("synth_duration_s", 1e9, "at most 134217728 samples"),
+            ("synth_rate_hz", 10**13, "at most 134217728 samples"),
         ],
     )
     def test_size_rejected_before_allocation(
         self, tmp_path, capsys, monkeypatch, key, value, message
     ):
-        def refuse_window(length):
-            pytest.fail(f"hann_window ran with {length} samples before they were checked")
-
         monkeypatch.setattr(
             experiment, "build_filter", _refuse_taps(experiment.build_filter, value)
         )
-        monkeypatch.setattr(frames, "hann_window", refuse_window)
+        monkeypatch.setattr(frames, "hann_window", _refuse("hann_window"))
+        # the allocators each size reaches first
+        if key in ("frame_channels", "frame_hop"):
+            monkeypatch.setattr(experiment, "pad_to_multiple", _refuse("pad_to_multiple"))
+        if key.startswith("synth_"):
+            monkeypatch.setattr(experiment, "synth_sparse_signal", _refuse("synth_sparse_signal"))
         cfg = {"synth_count": 1, "synth_duration_s": 0.05, "synth_rate_hz": 8000,
                "coarse_bits": [10], "fine_bits": [14], key: value,
                "output_dir": str(tmp_path / "grid")}

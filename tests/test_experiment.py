@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dualquant import PEAK_TARGET, Quantizer, Signal, save_wav
+from dualquant import PEAK_TARGET, Quantizer, Signal, experiment, save_wav
 from dualquant.experiment import (
     ExperimentConfig,
     GridRow,
@@ -156,6 +156,19 @@ class TestSyntheticCorpus:
         b = synth_corpus(1, 2, 0.25, 16000)[0][1]
         assert np.any(a.samples != b.samples)
 
+    @pytest.mark.parametrize(
+        "count, duration_s, rate_hz",
+        [(1, 2.0**27 / 8000 + 1, 8000), (2**27, 1.0, 2), (1, float("inf"), 8000),
+         (1, float("nan"), 8000)],
+    )
+    def test_corpus_size_capped(self, monkeypatch, count, duration_s, rate_hz):
+        def refuse(*args):
+            pytest.fail("a signal was synthesized before the corpus size was checked")
+
+        monkeypatch.setattr(experiment, "synth_sparse_signal", refuse)
+        with pytest.raises(ValueError, match="at most 134217728 samples"):
+            synth_corpus(count, 0, duration_s, rate_hz)
+
     def test_shape_and_normalization(self):
         rng = np.random.default_rng(5)
         sig = synth_sparse_signal(rng, 0.5, 16000)
@@ -176,6 +189,14 @@ class TestHelpers:
             ((0, 4, 512, 2048), "signal length"),
         ]:
             with pytest.raises(ValueError, match=name):
+                padded_length(*args)
+
+    def test_padded_length_capped(self):
+        # the cap holds at the limit, for a padded length from the signal,
+        # from an lcm, or from one multiple of it
+        assert padded_length(2**27, 4, 512, 2048) == 2**27
+        for args in [(2**27 + 1, 4, 512, 2048), (1, 4, 512, 2**33), (1, 3, 2**26, 2**26)]:
+            with pytest.raises(ValueError, match="exceeds 134217728 samples"):
                 padded_length(*args)
 
     def test_build_filter_impulse_for_unit_factor(self):

@@ -111,6 +111,14 @@ class TestProject:
         with pytest.raises(ValueError):
             project(cs, np.zeros(3))
 
+    def test_out_receives_the_projection(self):
+        rng = np.random.default_rng(4)
+        cs = ConsistencySet(np.full(50, -0.5), np.full(50, 0.5))
+        x = rng.standard_normal(50)
+        out = np.empty(50)
+        assert project(cs, x, out=out) is out
+        np.testing.assert_array_equal(out, project(cs, x))
+
     @given(
         x=arrays(np.float64, 16, elements=st.floats(-2, 2, width=64)),
         y=arrays(np.float64, 16, elements=st.floats(-2, 2, width=64)),

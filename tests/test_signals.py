@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,8 +20,9 @@ from dualquant import (
     pad_to_multiple,
     upsample_adjoint,
 )
+from dualquant.experiment import build_filter, taps_digest
 from dualquant.frames import _hop_energy
-from dualquant.signals import _add_circular, _fill_circular, fold_taps
+from dualquant.signals import _MAX_BETA, _add_circular, _fill_circular, fold_taps
 
 
 class TestSignal:
@@ -197,6 +203,30 @@ class TestDesignLowpass:
         np.testing.assert_array_equal(b.taps, b.taps[::-1])
         assert abs(np.sum(b.taps) - 1.0) < 1e-12
 
+    # taps_digest(build_filter(k)) at the default 129 taps and beta 8, as
+    # scipy.signal.firwin designed them: manifests record this digest, so a
+    # run simulated with either design reconstructs with the other
+    DIGESTS = {
+        2: "7adc7e1cc87b0b852c1d0623cfe1ae5165200277f0e9bcd7356ec475a2291e2c",
+        3: "3e087bb5c3640345e48247bc67ad9b3a00ae7cbfff8fc05c2f7b51569a0e594b",
+        4: "b7a2724ba46d28e4214338c926fd4c291b31b55367ffef25c3e796a30f19e0fa",
+        8: "4ec911d633a642eb04df97ff36827faac5222ac272888e29e5d6af1d10e6c25f",
+    }
+
+    @pytest.mark.parametrize("k", sorted(DIGESTS))
+    def test_default_taps_digest_pinned(self, k):
+        assert taps_digest(build_filter(k)) == self.DIGESTS[k]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 16])
+    def test_taps_equal_firwin_bit_for_bit(self, k):
+        # beta 14 puts window arguments on both sides of I0's series split at 8
+        signal = pytest.importorskip("scipy.signal")
+        for num_taps in (3, 33, 129, 1025):
+            for beta in (0.0, 5.0, 8.0, 14.0):
+                want = signal.firwin(num_taps, 1.0 / k, window=("kaiser", beta))
+                got = design_lowpass(k, num_taps, beta).taps
+                assert got.tobytes() == want.tobytes(), (num_taps, beta)
+
     def test_even_taps_rejected(self):
         with pytest.raises(ValueError):
             design_lowpass(4, 128, 8.0)
@@ -204,6 +234,14 @@ class TestDesignLowpass:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             design_lowpass(1, 129, 8.0)
+
+    def test_beta_where_i0_overflows_rejected(self):
+        # the largest beta still gives finite, normalized taps
+        b = design_lowpass(4, 129, _MAX_BETA)
+        assert abs(np.sum(b.taps) - 1.0) < 1e-12
+        for beta in (np.nextafter(_MAX_BETA, np.inf), 1e308, float("nan")):
+            with pytest.raises(ValueError, match="where I0 overflows"):
+                design_lowpass(4, 129, beta)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -271,3 +309,19 @@ class TestCircularHelpers:
         want = np.zeros(hop)
         np.add.at(want, np.arange(window) % hop, g**2)
         assert np.array_equal(_hop_energy(g, hop), want)
+
+
+def test_import_loads_no_scipy():
+    # the library depends on numpy alone; scipy.signal alone would add
+    # about 70 MB to every process's peak RSS
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, dualquant, dualquant.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -150,6 +150,17 @@ class TestDualBranchOperators:
             assert got.shape == (length,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("length, k, fir", OPERATOR_CASES)
+    def test_up_filter_adjoint_adds_into_the_given_array(self, length, k, fir):
+        # the solver's form: the same sums, added into its gradient
+        rng = np.random.default_rng(length * 10 + k + 1)
+        ops = fold_ops(length, k, fir)
+        w, base = rng.standard_normal(length // k), rng.standard_normal(length)
+        want = base + ops.up_filter_adjoint(w)
+        got = base.copy()
+        assert ops.up_filter_adjoint(w, add_to=got) is got
+        np.testing.assert_array_equal(got, want)
+
     def test_down_filter_output_is_fresh(self):
         # with rho == 1 the solver keeps the output as its fine-branch dual
         ops = fold_ops(3000, 4, random_fir(129))
@@ -326,6 +337,25 @@ class TestBlockScratch:
             tracemalloc.stop()
         coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
         assert peak - held <= 0.5 * coeff_bytes
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    def test_cva_step_peaks_below_one_signal_array(self, rho):
+        # the (D_k B)^* term is added into the gradient, and both box
+        # projections are formed in the gradient once the primal step has
+        # been taken, so a step makes no signal-length temporary
+        steps, frame = self._steps("cva", rho)
+        tracemalloc.start()
+        try:
+            next(steps)
+            next(steps)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < frame.signal_len * 8
 
     @pytest.mark.parametrize(
         "solver, rho, arrays, signals",
