@@ -15,10 +15,12 @@ import numpy as np
 
 from .quantizers import Quantizer, quantize
 from .signals import (
+    _SAMPLE_BLOCK,
     Downsampler,
     FirFilter,
     Signal,
     _rewrap,
+    _sample_blocks,
     apply_filter,
     downsample,
     samples_of,
@@ -83,7 +85,8 @@ def peak_normalize(x):
 def sdr(reference, estimate) -> float:
     """Signal-to-distortion ratio 20*log10(|x| / |x - x_hat|) in dB.
 
-    Returns +inf when the estimate matches the reference exactly.
+    Returns +inf when the estimate matches the reference exactly.  Both
+    norms are summed a block of samples at a time.
     """
     ref = samples_of(reference)
     est = samples_of(estimate)
@@ -91,10 +94,27 @@ def sdr(reference, estimate) -> float:
         raise ValueError(
             f"length mismatch: reference {ref.size} vs estimate {est.size}"
         )
-    ref_norm = float(np.linalg.norm(ref))
+    ref_norm = _norm(ref)
     if ref_norm == 0.0:
         raise ValueError("reference signal is identically zero")
-    err_norm = float(np.linalg.norm(ref - est))
+    err_norm = _norm(ref, est)
     if err_norm == 0.0:
         return math.inf
     return 20.0 * math.log10(ref_norm / err_norm)
+
+
+def _norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """``|a - b|`` (``|a|`` without ``b``), its squares formed and summed a
+    block of samples at a time in one scratch block: no signal-length
+    temporary and no BLAS call.  A sum beyond the float range is inf."""
+    scratch = np.empty(min(a.size, _SAMPLE_BLOCK))
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for part in _sample_blocks(a.size):
+            d = scratch[: part.stop - part.start]
+            if b is None:
+                np.square(a[part], out=d)
+            else:
+                np.square(np.subtract(a[part], b[part], out=d), out=d)
+            total += float(d.sum())
+    return math.sqrt(total)

@@ -56,6 +56,18 @@ def samples_of(x) -> np.ndarray:
     return _as_samples(x)
 
 
+# Samples per block of the per-sample passes (box bounds and projections,
+# violations, SDR sums): a pass holds one block, not a signal-length array.
+_SAMPLE_BLOCK = 1 << 14
+
+
+def _sample_blocks(size: int):
+    """Yield slices of ``_SAMPLE_BLOCK`` samples (the last may be shorter)
+    that cover ``size`` samples, in order."""
+    for s0 in range(0, size, _SAMPLE_BLOCK):
+        yield slice(s0, min(s0 + _SAMPLE_BLOCK, size))
+
+
 def _rewrap(template, samples: np.ndarray, sample_rate_hz: int | None = None):
     """Return ``samples`` as a Signal when ``template`` is one, else as-is."""
     if isinstance(template, Signal):

@@ -53,7 +53,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .acquisition import AcquisitionModel, sdr
 from .frames import TfFrame, _block_rows, _frame_blocks, _rows_per_block, analyze, synthesize
 from .quantizers import ConsistencySet, consistency_set, project, Quantizer
-from .signals import FirFilter, Signal, _fill_circular, fold_taps, samples_of
+from .signals import (
+    _SAMPLE_BLOCK,
+    FirFilter,
+    Signal,
+    _fill_circular,
+    _sample_blocks,
+    fold_taps,
+    samples_of,
+)
 
 __all__ = [
     "SolverConfig",
@@ -192,9 +200,11 @@ def clip_complex(c, lam, out=None) -> np.ndarray:
 def _weighted_l1(c: np.ndarray, frame: TfFrame, out: np.ndarray) -> None:
     """Per-frame terms of ``|A_full x|_1`` from rows ``c`` of the
     half-spectrum coefficients of ``A x``: ``out[j] = sum(weight *
-    |c[j]|)``, so the terms of every frame sum to the l1 norm."""
+    |c[j]|)``, so the terms of every frame sum to the l1 norm.  Each row
+    is summed on its own (no BLAS call)."""
     for part, moduli in _moduli(c):
-        np.matmul(moduli, frame.coeff_weight, out=out[part])
+        moduli *= frame.coeff_weight
+        np.sum(moduli, axis=1, out=out[part])
 
 
 def default_steps(b: FirFilter) -> tuple[float, float]:
@@ -338,11 +348,13 @@ class _DualBranchOperators:
 
 
 def _box_dual_prox(p, box: ConsistencySet, scratch: np.ndarray):
-    """``p - project(box, p)``, computed in ``p`` with the projection in
-    the first ``p.size`` entries of ``scratch``: the dual prox of a box
-    indicator, divided by sigma, at ``p = y + K x`` (see the module
-    docstring for the scaling)."""
-    p -= project(box, p, out=scratch[: p.size])
+    """``p - project(box, p)``, computed in ``p`` a block of samples at a
+    time, each block's projection formed in ``scratch`` (one block long):
+    the dual prox of a box indicator, divided by sigma, at ``p = y + K x``
+    (see the module docstring for the scaling)."""
+    for part in _sample_blocks(p.size):
+        block = p[part]
+        block -= project(box[part], block, out=scratch[: block.size])
     return p
 
 
@@ -371,6 +383,12 @@ class _L1Branch:
     def __init__(self, frame: TfFrame, cfg: SolverConfig, rho: float):
         shape = frame.coeff_shape
         self.frame, self.rho = frame, rho
+        # Python floats: an overflow is inf, not a numpy warning
+        if not cfg.lam / cfg.sigma * float(frame.coeff_weight.max()) < math.inf:
+            raise ValueError(
+                f"the l1 clip radius lam / sigma * weight overflows (lam {cfg.lam:g}, "
+                f"sigma {cfg.sigma:g}); lower lam"
+            )
         self.radius = (cfg.lam / cfg.sigma) * frame.coeff_weight
         self.dual = np.zeros(shape, dtype=np.complex128)
         self.ax = np.empty(shape, dtype=np.complex128)
@@ -449,6 +467,8 @@ def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
                 else:
                     np.copyto(best_x, x)
                 best_sdr, best_iter = value, i + 1
+    # the iteration's arrays are freed before the gap is measured
+    steps.close()
     selected = best_x if best_x is not None else x
     gap_at = FeasibilityGap(*gap(selected))
     return SolverRun(Signal(selected, rate), objective, sdr_values, best_iter, gap_at)
@@ -516,37 +536,40 @@ def cva_solve_sets(
 def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_set, cfg):
     """Condat-Vu iteration from ``x``, which it updates in place.
 
-    Every array is allocated once per run and updated in place; with ``rho
-    == 1`` the coarse dual and the look-ahead buffer swap instead of being
-    copied.
+    Every array is allocated once per run and updated in place.  Besides
+    the iterate and the l1 branch, a run holds the two box duals and one
+    work vector: the gradient, then the primal step, then the look-ahead
+    point, then the coarse-branch prox argument.  With ``rho == 1`` the
+    coarse dual and the work vector swap instead of being copied.
     """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
     l1 = _L1Branch(frame, cfg, rho)
     y2 = np.zeros(ops.short_len)
     y3 = np.zeros(ops.length)
-    grad = np.empty(ops.length)
-    # The look-ahead point, then the coarse-branch prox argument.
-    lookahead = np.empty(ops.length)
+    work = np.empty(ops.length)
+    # one block of a box projection
+    scratch = np.empty(min(ops.length, _SAMPLE_BLOCK))
     while True:
         # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
-        synthesize(frame, l1.dual, out=grad)
-        ops.up_filter_adjoint(y2, add_to=grad)
-        grad += y3
-        # x_tilde = x - tau * grad is not formed: the look-ahead point is
-        # 2 * x_tilde - x and the primal step is rho * (x_tilde - x).
-        np.multiply(grad, -2.0 * tau * sigma, out=lookahead)
-        lookahead += x
-        grad *= -rho * tau * sigma
-        x += grad
-        # grad is free from here on: both box projections are formed in it
-        objective = l1.update(lookahead)
-        p2 = ops.down_filter(lookahead)
+        synthesize(frame, l1.dual, out=work)
+        ops.up_filter_adjoint(y2, add_to=work)
+        work += y3
+        # x_tilde = x - tau * grad is not formed: the primal step is
+        # rho * (x_tilde - x), and the look-ahead point 2 * x_tilde - x is
+        # the new iterate plus (2 - rho) / rho times that step
+        work *= -rho * tau * sigma
+        x += work
+        if rho != 1.0:
+            work *= (2.0 - rho) / rho
+        work += x
+        objective = l1.update(work)
+        p2 = ops.down_filter(work)
         p2 += y2
         # the buffer _relax frees is dropped: down_filter returns a new one
-        y2 = _relax(y2, _box_dual_prox(p2, fine_set, grad), rho)[0]
+        y2 = _relax(y2, _box_dual_prox(p2, fine_set, scratch), rho)[0]
         del p2  # with rho != 1 it is that freed buffer
-        lookahead += y3
-        y3, lookahead = _relax(y3, _box_dual_prox(lookahead, coarse_set, grad), rho)
+        work += y3
+        y3, work = _relax(y3, _box_dual_prox(work, coarse_set, scratch), rho)
         yield x, objective
 
 
@@ -588,8 +611,9 @@ def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
     before, where it also gives ``A x_next`` for the objective: a step
     projects ``x - tau * sigma * A^* y`` onto the box, then updates the
     dual at ``x_bar = 2 * x_next - x``.  The first update runs at ``x``, so
-    n steps run n + 1 analyses.  Each iterate is the new array the box
-    projection returns.
+    n steps run n + 1 analyses.  The projection is formed in place, and
+    the new iterate and the old one's buffer swap, so a run holds three
+    signal vectors and allocates none per step.
     """
     l1 = _L1Branch(frame, cfg, 1.0)
     l1.update(x)
@@ -598,8 +622,8 @@ def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
         synthesize(frame, l1.dual, out=step)
         step *= -cfg.tau * cfg.sigma
         step += x
-        x_next = project(box, step)
-        np.multiply(x_next, 2.0, out=x_bar)
+        project(box, step, out=step)
+        np.multiply(step, 2.0, out=x_bar)
         x_bar -= x
-        x = x_next
+        x, step = step, x
         yield x, l1.update(x_bar)

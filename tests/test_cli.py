@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import struct
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -475,14 +476,21 @@ class TestManifestFuzz:
 
 
 def _assert_runs_or_one_error_line(argv, *case):
-    """``main(argv)`` exits 0 with nothing on stderr, or 1 with one ``error:`` line."""
+    """``main(argv)`` exits 0 with nothing on stderr, or 1 with one ``error:``
+    line, and warns no ``RuntimeWarning`` (a terminal would show it above
+    the error line).  Returns the exit code and the stderr lines."""
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        rc = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv)
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert numeric == [], (argv[0], *case, numeric)
     lines = err.getvalue().splitlines()
     assert (rc, lines) == (0, []) or (
         rc == 1 and len(lines) == 1 and lines[0].startswith("error:")
     ), (argv[0], *case, rc, lines)
+    return rc, lines
 
 
 # A one-cell grid on one 400-sample signal (window 64, hop 16, 64 channels,
@@ -507,6 +515,33 @@ class TestGridConfigFuzz:
         path = folder / "config.json"
         path.write_text(json.dumps({**TINY_GRID, key: value, "output_dir": str(folder / "out")}))
         _assert_runs_or_one_error_line(["grid", str(path)], key, value)
+
+
+class TestOverflowingLam:
+    """A ``lam`` whose l1 clip radius ``lam / sigma * weight`` overflows the
+    float range ends the run with no numeric warning: one ``error:`` line,
+    or a failed grid cell, naming ``lam`` and ``sigma``."""
+
+    def test_manifest_lam(self, tiny_run, tmp_path):
+        manifest = read_manifest(tiny_run / "manifest.json")
+        manifest["solver"]["lam"] = 1e308
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        y1, y2 = ["--y1", str(tiny_run / "y1.wav")], ["--y2", str(tiny_run / "y2.wav")]
+        outputs = ["--out", str(tmp_path / "xhat.wav"), "--trace", str(tmp_path / "trace.csv")]
+        rc, lines = _assert_runs_or_one_error_line(["reconstruct", str(path), *y1, *y2, *outputs])
+        assert rc == 1 and "lam 1e+308, sigma 0." in lines[0]
+        # the baseline's unit sigma keeps this radius finite
+        _assert_runs_or_one_error_line(["baseline", str(path), *y2, *outputs])
+
+    @pytest.mark.parametrize("setting", [{"lam": 1e308}, {"lambda_table": {"8,14": 1e308}}])
+    def test_grid_lam(self, tmp_path, caplog, setting):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY_GRID, **setting, "output_dir": str(tmp_path / "out")}))
+        rc, lines = _assert_runs_or_one_error_line(["grid", str(path)])
+        assert rc == 1 and "no grid cell completed" in lines[0]
+        (reason,) = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert "lam 1e+308, sigma 0." in reason
 
 
 # (offset, struct format) of each field of the 44-byte header save_wav writes

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualquant import ConsistencySet, Quantizer, consistency_set, project, quantize, sdr
+from dualquant.quantizers import GRID_TOL
 
 finite_samples = arrays(
     np.float64,
@@ -148,3 +151,73 @@ class TestProject:
         assert cs.max_violation(np.array([-0.25, 0.5])) == 0.25
         assert cs.max_violation(np.array([-0.25, 1.5])) == 0.5
         assert cs.max_violation(np.array([0.0, 1.0])) == 0
+
+
+def _observation(bits, size=40000, seed=0):
+    """Random levels of a ``bits``-bit quantizer (both saturated cells
+    included) over more than two blocks of samples, and the explicit box
+    ``level -/+ step / 2`` around them."""
+    q = Quantizer(bits)
+    rng = np.random.default_rng(seed)
+    top = 2 ** (bits - 1)
+    idx = rng.integers(-top, top, size)
+    idx[:4] = [-top, top - 1, -top, top - 1]
+    levels = q.step * (idx + 0.5)
+    return q, levels, ConsistencySet(levels - q.step / 2, levels + q.step / 2)
+
+
+class TestLevelBox:
+    """A quantizer box holds the observation's levels and the half-step;
+    its bounds are formed a block at a time and equal the explicit box
+    ``level -/+ step / 2`` bit for bit."""
+
+    @pytest.mark.parametrize("off_grid", [False, True])
+    @pytest.mark.parametrize("bits", [1, 2, 10, 16, 24, 32])
+    def test_projection_and_violation_equal_the_explicit_box(self, bits, off_grid):
+        q, levels, explicit = _observation(bits)
+        # an observation off its levels by less than GRID_TOL has the same box
+        y = levels.copy()
+        if off_grid:
+            y[::2] += 0.5 * GRID_TOL
+            y[1::2] -= 0.5 * GRID_TOL
+        box = consistency_set(y, q)
+        # the saturated cells end at -1 and 1 exactly
+        assert (box.lower[0], box.upper[1]) == (-1.0, 1.0)
+        assert box.lower.tobytes() == explicit.lower.tobytes()
+        assert box.upper.tobytes() == explicit.upper.tobytes()
+        rng = np.random.default_rng(bits)
+        near = levels + rng.uniform(-1, 1, levels.size) * q.step
+        for x in (rng.uniform(-1.5, 1.5, levels.size), near):
+            assert project(box, x).tobytes() == project(explicit, x).tobytes()
+            assert box.max_violation(x) == explicit.max_violation(x)
+            want = project(explicit, x)
+            assert project(box, x, out=x) is x
+            assert x.tobytes() == want.tobytes()
+            assert box.max_violation(x) == 0.0
+
+    def test_on_grid_box_holds_no_signal_length_array(self):
+        q, levels, _ = _observation(16)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            box = consistency_set(levels, q)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(box) == levels.size
+        assert held < levels.nbytes / 8
+
+    def test_box_follows_its_observation(self):
+        # an on-grid box keeps the observation itself as its levels
+        q, levels, _ = _observation(10, size=8)
+        box = consistency_set(levels, q)
+        levels[0] = q.bottom_level + q.step
+        assert box.lower[0] == -1.0 + q.step
+
+    def test_block_of_a_box_is_the_box_of_the_block(self):
+        q, levels, explicit = _observation(12)
+        box = consistency_set(levels, q)
+        part = slice(17000, 35000)
+        for whole in (box, explicit):
+            assert whole[part].lower.tobytes() == whole.lower[part].tobytes()
+            assert whole[part].upper.tobytes() == whole.upper[part].tobytes()

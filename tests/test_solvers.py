@@ -307,9 +307,9 @@ class TestBlockScratch:
         assert _peak_bytes(call) <= output_bytes + (1 << 20)
 
     @staticmethod
-    def _steps(solver, rho):
-        """A step generator of either solver on a 256-frame signal, so that
-        a block of 32 frames is a small part of it."""
+    def _problem():
+        """Frame, model, signal and observations of a 256-frame signal, so
+        that a block of 32 frames is a small part of it."""
         from dualquant.experiment import synth_corpus
 
         length = 131072
@@ -317,7 +317,40 @@ class TestBlockScratch:
         model = AcquisitionModel(design_lowpass(4), 4, Quantizer(16), Quantizer(10))
         (_, x), = synth_corpus(1, 5, length / 16000, 16000)
         y1, y2 = simulate_acquisition(x, model)
+        return frame, model, x, y1, y2
+
+    @classmethod
+    def _steps(cls, solver, rho):
+        """A step generator of either solver on :meth:`_problem`."""
+        frame, model, _, y1, y2 = cls._problem()
         return _step_generator(solver, rho, frame, model, y1, y2), frame
+
+    @pytest.mark.parametrize(
+        "solver, rho, signals",
+        # the iterate, the best iterate, the coarse dual and the work vector
+        # plus the fine dual and its prox argument (L / 4 each), or the
+        # iterate, the best iterate, the look-ahead point and the primal step
+        [("cva", 1.0, 4.5), ("cva", 1.5, 4.5), ("cpa", 1.0, 4.0)],
+    )
+    def test_solve_peaks_at_its_state_plus_three_mib(self, solver, rho, signals):
+        # a whole solve with a reference, boxes and gap included, peaks at
+        # the two coefficient arrays of the l1 branch, its signal vectors and
+        # block scratch: the boxes hold no bounds, a step no signal-length
+        # temporary, and the iteration is gone before the gap is measured
+        frame, model, x, y1, y2 = self._problem()
+        cfg = SolverConfig(rho=rho, lam=model.coarse.step / 2, max_iters=3)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            if solver == "cva":
+                cva_solve(y1, y2, model, frame, cfg, reference=x)
+            else:
+                cpa_solve(y2, model.coarse, frame, cfg, reference=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
+        assert peak - before <= 2 * coeff_bytes + signals * frame.signal_len * 8 + (3 << 20)
 
     @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
     def test_step_peaks_at_half_a_coefficient_array(self, solver, rho):
@@ -359,10 +392,10 @@ class TestBlockScratch:
 
     @pytest.mark.parametrize(
         "solver, rho, arrays, signals",
-        # the l1 dual and A x; the coarse dual, the gradient and the
-        # look-ahead point plus the fine dual (L / 4), or the look-ahead
-        # point, the primal step and the iterate
-        [("cva", 1.0, 2, 3.25), ("cva", 1.5, 2, 3.25), ("cpa", 1.0, 2, 3.0)],
+        # the l1 dual and A x; the coarse dual and the one work vector plus
+        # the fine dual (L / 4), or the look-ahead point and the primal
+        # step (the iterate swaps with the start point's buffer)
+        [("cva", 1.0, 2, 2.25), ("cva", 1.5, 2, 2.25), ("cpa", 1.0, 2, 2.0)],
     )
     def test_step_holds_its_coefficient_arrays_plus_one_mib(self, solver, rho, arrays, signals):
         # the analysis and the l1 dual update run a block of frames at a
@@ -430,6 +463,18 @@ class TestSeveralBlocks:
         for got, want in zip(self._runs(problem), default):
             np.testing.assert_allclose(got.sdr_trace, want.sdr_trace, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-12)
+
+    def test_solves_call_no_blas_routine(self, problem, monkeypatch):
+        # every sum of an iteration is numpy's own reduction, not a BLAS
+        # routine, whose thread pool grid threads would share
+        def blas(*args, **kwargs):
+            raise AssertionError("a BLAS routine was called")
+
+        for owner, name in ((np, "matmul"), (np, "dot"), (np, "vdot"), (np.linalg, "norm")):
+            monkeypatch.setattr(owner, name, blas)
+        assert not logging.getLogger("dualquant.solvers").isEnabledFor(logging.DEBUG)
+        for run in self._runs(problem):
+            assert np.all(np.isfinite(run.sdr_trace))
 
     @pytest.mark.parametrize("solver, rho", [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)])
     def test_objective_is_the_l1_of_the_iterate(self, problem, solver, rho):
@@ -536,6 +581,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(1.1, 1.0).validate_for_cpa()
         SolverConfig(1.0, 1.0).validate_for_cpa()
+
+    @pytest.mark.parametrize("solver", ["cva", "cpa"])
+    def test_overflowing_l1_radius_rejected(self, solver):
+        # lam / sigma * weight beyond the float range would clip at inf and
+        # turn the iterate NaN
+        cfg = SolverConfig(TAU, SIGMA, lam=1.2e308, max_iters=2)
+        with pytest.raises(ValueError, match=r"lam 1\.2e\+308, sigma 0\.577"):
+            if solver == "cva":
+                cva_solve_sets(box(0.3, 0.8), box(0.2, 0.6), IMPULSE, 1, IDENTITY_FRAME,
+                               x0=np.zeros(L), cfg=cfg)
+            else:
+                cpa_solve_box(box(0.2, 0.6), IDENTITY_FRAME, x0=np.zeros(L), cfg=cfg)
 
     def test_solver_rejects_bad_steps(self):
         with pytest.raises(ValueError):
