@@ -1,31 +1,32 @@
 """Primal-dual solvers for quantization-consistent sparse recovery.
 
 Both solvers minimize the l1 norm of tight-frame analysis coefficients
-subject to box constraints.  The dual-branch problem
+subject to box constraints by one primal-dual iteration.  The dual-branch
+problem
 
     min_x  lam * |A x|_1  +  i_fine(D_k B x)  +  i_coarse(x)
 
 is handled by the Condat-Vu splitting: a gradient-style primal step against
 the stacked adjoints followed by one dual prox per term, each obtained
 through the Moreau decomposition (so only ``clip`` and box projections are
-ever evaluated).  The single-branch baseline drops the fine branch and runs
-the Chambolle-Pock iteration, whose primal step projects directly onto the
-coarse box.
+ever evaluated).  The single-branch baseline is the same iteration with no
+fine branch and the coarse box moved into the primal step, which projects
+onto it: the Chambolle-Pock iteration.
 
-Each iteration is a private generator (``_cva_steps``, ``_cpa_steps``)
-that advances the iterate and yields it with the weighted l1 norm of its
-coefficients.  Both run their l1 term through one ``_L1Branch``, whose dual
-update also gives ``A x`` of the new iterate by linearity, so the objective
-costs no transform.  One driver (``_drive``) runs either generator for
+The iteration is one private generator, ``_step_generator``, given the
+problem: the l1 branch, the box branches and an optional primal box.  It
+yields each iterate with the weighted l1 norm of its coefficients; the l1
+branch's dual update also gives ``A x`` of the new iterate by linearity,
+so the objective costs no transform.  ``_solve`` runs it for
 ``max_iters`` steps and does the rest: the objective and SDR traces, the
-best-SDR iterate, DEBUG logging of the relative primal change and the
-assembled :class:`SolverRun`.
+best-SDR iterate, DEBUG logging of the relative primal change, the
+feasibility gap and the assembled :class:`SolverRun`.
 
 The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
 which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
 l1 prox therefore clips each bin at ``lam * weight``.
 
-Both iterations keep each dual divided by sigma, ``y = u / sigma``.  The
+The iteration keeps each dual divided by sigma, ``y = u / sigma``.  The
 conjugate prox of the l1 term is a clip, and a clip commutes with scaling,
 so ``y1`` is clipped at radius ``lam * weight / sigma``; a box dual becomes
 ``p - project(box, p)`` at ``p = y + K x``; and the primal gradient ``K^T
@@ -35,9 +36,9 @@ form up to rounding.
 
 Step sizes: with a Parseval frame (norm 1), identity and a filter whose
 operator norm is at most the l1 norm of its taps, the stacked operator has
-squared norm at most 2 + l1^2, giving the sufficient condition
-tau * sigma * (2 + l1^2) <= 1 for the dual-branch solver and
-tau * sigma <= 1 for the baseline.
+squared norm at most 2 + l1^2 with both box branches and 1 with none
+(:func:`_norm_bound`).  One rule serves both problems: unset steps are
+1 / sqrt(bound) each, and set steps must satisfy tau * sigma * bound <= 1.
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ class FeasibilityGap(NamedTuple):
 class SolverConfig:
     """Step sizes and weights shared by both solvers.
 
-    Unset steps (``tau`` and ``sigma`` both ``None``) mean each solver's own
-    rule: :func:`default_steps` of the filter for the dual-branch solver,
-    unit steps for the baseline.  ``rho`` is the over-relaxation parameter
-    of the dual-branch solver (ignored by the baseline); ``lam`` weights
-    the l1 term and only affects iteration dynamics, not the minimizer.
+    Unset steps (``tau`` and ``sigma`` both ``None``) mean one rule at each
+    problem's bound (:meth:`with_steps_for`): :func:`default_steps` of the
+    filter for the dual-branch solver, unit steps for the baseline.
+    ``rho`` is the over-relaxation parameter of the dual-branch solver
+    (ignored by the baseline); ``lam`` weights the l1 term and only affects
+    iteration dynamics, not the minimizer.
     """
 
     tau: float | None = None
@@ -124,22 +126,20 @@ class SolverConfig:
                 "its objective and SDR traces up front, 16 bytes per iteration"
             )
 
-    def _with_steps(self, tau: float, sigma: float) -> "SolverConfig":
-        """This config, with ``tau`` and ``sigma`` in place of unset steps."""
-        return self if self.tau is not None else replace(self, tau=tau, sigma=sigma)
-
-    def validate_for_cva(self, filter_l1_norm: float) -> None:
-        bound = 0.0 if self.tau is None else self.tau * self.sigma * (2.0 + filter_l1_norm**2)
-        if bound > 1.0 + _STEP_SLACK:
+    def with_steps_for(self, bound: float) -> "SolverConfig":
+        """This config with its steps for a problem whose stacked operator
+        has squared norm at most ``bound``: unset steps become ``1 /
+        sqrt(bound)`` each, and set steps must satisfy ``tau * sigma *
+        bound <= 1`` (else ``ValueError``)."""
+        if self.tau is None:
+            step = 1.0 / math.sqrt(bound)
+            return replace(self, tau=step, sigma=step)
+        if self.tau * self.sigma * bound > 1.0 + _STEP_SLACK:
             raise ValueError(
-                f"step sizes violate tau*sigma*(2 + |b|_1^2) <= 1 (got {bound:.6g})"
+                f"step sizes violate tau*sigma*bound <= 1 at the stacked operator's "
+                f"norm bound {bound:.6g} (got {self.tau * self.sigma * bound:.6g})"
             )
-
-    def validate_for_cpa(self) -> None:
-        if self.tau is not None and self.tau * self.sigma > 1.0 + _STEP_SLACK:
-            raise ValueError(
-                f"step sizes violate tau*sigma <= 1 (got {self.tau * self.sigma:.6g})"
-            )
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +207,17 @@ def _weighted_l1(c: np.ndarray, frame: TfFrame, out: np.ndarray) -> None:
         np.sum(moduli, axis=1, out=out[part])
 
 
+def _norm_bound(fir: FirFilter | None) -> float:
+    """Bound on the squared norm of the stacked operator: ``[A; D_k B; I]``
+    with filter ``fir``, or ``A`` alone when ``fir`` is None.  ``A`` is
+    Parseval and ``|D_k B| <= |b|_1``."""
+    return 1.0 if fir is None else 2.0 + fir.l1_norm**2
+
+
 def default_steps(b: FirFilter) -> tuple[float, float]:
     """Equal steps saturating the dual-branch sufficient condition."""
-    step = 1.0 / math.sqrt(2.0 + b.l1_norm**2)
-    return step, step
+    cfg = SolverConfig().with_steps_for(_norm_bound(b))
+    return cfg.tau, cfg.sigma
 
 
 # Samples per chunk of blocks in the filter pair (32 blocks at the default
@@ -371,7 +378,7 @@ def _relax(y, target, rho: float):
 
 
 class _L1Branch:
-    """The l1 term of either iteration: its dual, divided by sigma, and
+    """The l1 term of the iteration: its dual, divided by sigma, and
     ``A x`` of the running iterate, for the objective trace.
 
     :meth:`update` runs the dual update at a look-ahead point ``v`` a block
@@ -380,9 +387,9 @@ class _L1Branch:
     linearity; the first ``v`` is the iterate itself.
     """
 
-    def __init__(self, frame: TfFrame, cfg: SolverConfig, rho: float):
+    def __init__(self, frame: TfFrame, cfg: SolverConfig):
         shape = frame.coeff_shape
-        self.frame, self.rho = frame, rho
+        self.frame, self.rho = frame, cfg.rho
         # Python floats: an overflow is inf, not a numpy warning
         if not cfg.lam / cfg.sigma * float(frame.coeff_weight.max()) < math.inf:
             raise ValueError(
@@ -422,39 +429,98 @@ class _L1Branch:
         return float(np.sum(self.l1_terms))
 
 
-def _rate_of(*candidates) -> int:
-    for c in candidates:
-        if isinstance(c, Signal):
-            return c.sample_rate_hz
-    return 1
+def _step_generator(x, l1: _L1Branch, cfg: SolverConfig, branches, primal_box=None):
+    """The primal-dual iteration from ``x`` on ``lam * |A x|_1`` plus the
+    indicators of each branch's box and of ``primal_box``; yields each
+    iterate with the weighted l1 of its coefficients.
+
+    A branch ``(K, box)`` puts ``box`` on ``K x``: ``K`` is a
+    :class:`_DualBranchOperators` (``D_k B``) or ``None``, the identity,
+    which comes last, since its prox argument is formed in the work vector.
+    The primal step projects onto a primal box and is then not relaxed
+    (``cfg.rho`` must be 1).
+
+    The gradient ``A^* y1 + sum K^* y`` (divided by sigma) becomes the
+    primal step in one work vector.  With no primal box the step ``rho *
+    (x_tilde - x)``, ``x_tilde = x - tau * grad``, is added to ``x`` in
+    place, and the look-ahead point ``2 * x_tilde - x`` is the new iterate
+    plus ``(2 - rho) / rho`` times the step.  With one, ``x_tilde`` is
+    projected onto it, the look-ahead point is formed a block at a time in
+    the old iterate's buffer, and the two buffers swap.  The duals update
+    at the look-ahead point; with ``rho == 1`` the identity branch's dual
+    and the work vector swap.  So a run holds the iterate, one work vector,
+    the box duals and block scratch.
+    """
+    tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
+    work = np.empty_like(x)
+    duals = [np.zeros(x.size if op is None else op.short_len) for op, _ in branches]
+    # one block of a box projection or of the look-ahead point
+    scratch = np.empty(min(x.size, _SAMPLE_BLOCK))
+    while True:
+        # grad / sigma = A^* y1 + sum K^* y
+        synthesize(l1.frame, l1.dual, out=work)
+        for (op, _), y in zip(branches, duals):
+            if op is None:
+                work += y
+            else:
+                op.up_filter_adjoint(y, add_to=work)
+        work *= -rho * tau * sigma
+        if primal_box is None:
+            x += work
+            if rho != 1.0:
+                work *= (2.0 - rho) / rho
+            work += x
+        else:
+            work += x
+            project(primal_box, work, out=work)
+            for part in _sample_blocks(x.size):
+                block = np.multiply(work[part], 2.0, out=scratch[: part.stop - part.start])
+                np.subtract(block, x[part], out=x[part])
+            x, work = work, x
+        objective = l1.update(work)
+        for i, (op, box) in enumerate(branches):
+            # down_filter returns a fresh array: the buffer _relax frees
+            # from it is dropped at the next branch
+            p = work if op is None else op.down_filter(work)
+            p += duals[i]
+            duals[i], p = _relax(duals[i], _box_dual_prox(p, box, scratch), rho)
+            if op is None:
+                work = p
+        yield x, objective
 
 
-def _start(x0, length: int, reference):
-    """Checked start-up of either solver: a private copy of the start point
-    ``x0``, the reference samples (or ``None``) and the sample rate of
-    ``x0`` or else of ``reference`` (1 Hz when neither is a Signal)."""
+def _solve(x0, reference, frame: TfFrame, cfg: SolverConfig, branches, primal_box=None):
+    """Run ``cfg.max_iters`` steps of :func:`_step_generator` from a copy
+    of ``x0``.  The estimate is the best-SDR iterate (or the last), at the
+    rate of ``x0`` or else of ``reference`` (1 Hz if neither is a Signal);
+    the gap is that of the boxes given, on ``x`` (coarse) or ``D_k B x``."""
+    length = frame.signal_len
     x = samples_of(x0).copy()
     if x.size != length:
         raise ValueError(f"x0 (y2) length {x.size} does not match frame length {length}")
     ref = None if reference is None else samples_of(reference)
     if ref is not None and ref.size != length:
         raise ValueError("reference length does not match the frame length")
-    return x, ref, _rate_of(x0, reference)
+    boxes = branches if primal_box is None else [*branches, (None, primal_box)]
+    if any(len(box) != (length if op is None else op.short_len) for op, box in boxes):
+        raise ValueError("constraint box lengths do not match the operator shapes")
+    rate = next((c.sample_rate_hz for c in (x0, reference) if isinstance(c, Signal)), 1)
 
-
-def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
-    """Run ``cfg.max_iters`` steps of the iteration ``steps`` (a generator
-    yielding each iterate with the weighted l1 of its coefficients) from
-    ``x``; ``gap`` gives the (coarse, fine) violations of an iterate."""
+    l1 = _L1Branch(frame, cfg)
+    if primal_box is not None:
+        # the baseline's first dual update runs at x0, before its first
+        # step, so its n steps run n + 1 analyses
+        l1.update(x)
+    steps = _step_generator(x, l1, cfg, branches, primal_box)
     objective = np.empty(cfg.max_iters)
     sdr_values = np.empty(cfg.max_iters) if ref is not None else None
     best_sdr, best_x, best_iter = -math.inf, None, None
     debug = logger.isEnabledFor(logging.DEBUG)
     for i in range(cfg.max_iters):
-        # a copy, since the dual-branch iteration updates its iterate in place
+        # a copy, since the iteration updates its iterate in place
         previous = x.copy() if debug else None
-        x, l1 = next(steps)
-        objective[i] = cfg.lam * l1
+        x, l1_norm = next(steps)
+        objective[i] = cfg.lam * l1_norm
         if debug:
             rel = np.linalg.norm(x - previous) / max(np.linalg.norm(previous), 1e-300)
             logger.debug("iter %d relative primal change %.3e", i + 1, rel)
@@ -470,8 +536,15 @@ def _drive(steps, x, cfg: SolverConfig, ref, rate: int, gap) -> SolverRun:
     # the iteration's arrays are freed before the gap is measured
     steps.close()
     selected = best_x if best_x is not None else x
-    gap_at = FeasibilityGap(*gap(selected))
-    return SolverRun(Signal(selected, rate), objective, sdr_values, best_iter, gap_at)
+    coarse = fine = 0.0
+    for op, box in boxes:
+        if op is None:
+            coarse = box.max_violation(selected)
+        else:
+            fine = box.max_violation(op.down_filter(selected))
+    return SolverRun(
+        Signal(selected, rate), objective, sdr_values, best_iter, FeasibilityGap(coarse, fine)
+    )
 
 
 def cva_solve(
@@ -519,58 +592,9 @@ def cva_solve_sets(
     the observations.  The estimate has the sample rate of ``x0`` when it
     is a Signal, else that of ``reference``.
     """
-    cfg = cfg._with_steps(*default_steps(fir))
-    cfg.validate_for_cva(fir.l1_norm)
+    cfg = cfg.with_steps_for(_norm_bound(fir))
     ops = _DualBranchOperators(frame.signal_len, fir, factor)
-    x, ref, rate = _start(x0, ops.length, reference)
-    if len(coarse_set) != ops.length or len(fine_set) != ops.short_len:
-        raise ValueError("constraint box lengths do not match the operator shapes")
-
-    def gap(v):
-        return coarse_set.max_violation(v), fine_set.max_violation(ops.down_filter(v))
-
-    steps = _cva_steps(x, ops, frame, fine_set, coarse_set, cfg)
-    return _drive(steps, x, cfg, ref, rate, gap)
-
-
-def _cva_steps(x, ops: _DualBranchOperators, frame: TfFrame, fine_set, coarse_set, cfg):
-    """Condat-Vu iteration from ``x``, which it updates in place.
-
-    Every array is allocated once per run and updated in place.  Besides
-    the iterate and the l1 branch, a run holds the two box duals and one
-    work vector: the gradient, then the primal step, then the look-ahead
-    point, then the coarse-branch prox argument.  With ``rho == 1`` the
-    coarse dual and the work vector swap instead of being copied.
-    """
-    tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
-    l1 = _L1Branch(frame, cfg, rho)
-    y2 = np.zeros(ops.short_len)
-    y3 = np.zeros(ops.length)
-    work = np.empty(ops.length)
-    # one block of a box projection
-    scratch = np.empty(min(ops.length, _SAMPLE_BLOCK))
-    while True:
-        # grad / sigma = A^* y1 + (D_k B)^* y2 + y3
-        synthesize(frame, l1.dual, out=work)
-        ops.up_filter_adjoint(y2, add_to=work)
-        work += y3
-        # x_tilde = x - tau * grad is not formed: the primal step is
-        # rho * (x_tilde - x), and the look-ahead point 2 * x_tilde - x is
-        # the new iterate plus (2 - rho) / rho times that step
-        work *= -rho * tau * sigma
-        x += work
-        if rho != 1.0:
-            work *= (2.0 - rho) / rho
-        work += x
-        objective = l1.update(work)
-        p2 = ops.down_filter(work)
-        p2 += y2
-        # the buffer _relax frees is dropped: down_filter returns a new one
-        y2 = _relax(y2, _box_dual_prox(p2, fine_set, scratch), rho)[0]
-        del p2  # with rho != 1 it is that freed buffer
-        work += y3
-        y3, work = _relax(y3, _box_dual_prox(work, coarse_set, scratch), rho)
-        yield x, objective
+    return _solve(x0, reference, frame, cfg, [(ops, fine_set), (None, coarse_set)])
 
 
 def cpa_solve(
@@ -593,37 +617,9 @@ def cpa_solve_box(
     cfg: SolverConfig,
     reference=None,
 ) -> SolverRun:
-    """Chambolle-Pock iteration with an explicit constraint box; the
-    estimate's sample rate is chosen as in :func:`cva_solve_sets`."""
-    cfg = cfg._with_steps(1.0, 1.0)
-    cfg.validate_for_cpa()
-    x, ref, rate = _start(x0, frame.signal_len, reference)
-    if len(box) != frame.signal_len:
-        raise ValueError("box length does not match the frame length")
-    steps = _cpa_steps(x, frame, box, cfg)
-    return _drive(steps, x, cfg, ref, rate, lambda v: (box.max_violation(v), 0.0))
-
-
-def _cpa_steps(x, frame: TfFrame, box: ConsistencySet, cfg: SolverConfig):
-    """Chambolle-Pock iteration from ``x``, with the l1 branch at rho = 1.
-
-    The dual update moves from the start of a step to the end of the one
-    before, where it also gives ``A x_next`` for the objective: a step
-    projects ``x - tau * sigma * A^* y`` onto the box, then updates the
-    dual at ``x_bar = 2 * x_next - x``.  The first update runs at ``x``, so
-    n steps run n + 1 analyses.  The projection is formed in place, and
-    the new iterate and the old one's buffer swap, so a run holds three
-    signal vectors and allocates none per step.
-    """
-    l1 = _L1Branch(frame, cfg, 1.0)
-    l1.update(x)
-    x_bar, step = np.empty_like(x), np.empty_like(x)
-    while True:
-        synthesize(frame, l1.dual, out=step)
-        step *= -cfg.tau * cfg.sigma
-        step += x
-        project(box, step, out=step)
-        np.multiply(step, 2.0, out=x_bar)
-        x_bar -= x
-        x, step = step, x
-        yield x, l1.update(x_bar)
+    """Chambolle-Pock iteration with an explicit constraint box: the
+    dual-branch iteration with no box branch, the box in its primal step
+    and rho = 1.  The estimate's sample rate is chosen as in
+    :func:`cva_solve_sets`."""
+    cfg = replace(cfg.with_steps_for(_norm_bound(None)), rho=1.0)
+    return _solve(x0, reference, frame, cfg, [], primal_box=box)

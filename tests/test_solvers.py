@@ -33,7 +33,13 @@ from dualquant import (
     upsample_adjoint,
 )
 from dualquant import frames
-from dualquant.solvers import _DualBranchOperators, _cpa_steps, _cva_steps, _weighted_l1
+from dualquant.solvers import (
+    _DualBranchOperators,
+    _L1Branch,
+    _norm_bound,
+    _step_generator,
+    _weighted_l1,
+)
 
 L = 4
 IDENTITY_FRAME = make_tight_frame(1, 1, 1, L)
@@ -222,29 +228,23 @@ class TestDualBranchOperators:
 
 
 class TestCvaStepAllocation:
-    @pytest.mark.parametrize("rho", [1.0, 1.5])
-    def test_steps_allocate_at_most_two_coefficient_arrays(self, rho):
+    @pytest.mark.parametrize(
+        "solver, rho",
+        [pytest.param("cva", 1.0, id="1.0"), pytest.param("cva", 1.5, id="1.5"),
+         pytest.param("cpa", 1.0, id="cpa")],
+    )
+    def test_steps_allocate_at_most_two_coefficient_arrays(self, solver, rho):
         # Every coefficient array of the iteration is allocated once per run;
         # a step may still hold transients inside the transforms and the
         # clip, but no more than two arrays' worth at a time.
-        from dualquant import consistency_set
         from dualquant.experiment import synth_corpus
 
         length = 32768
         frame = make_tight_frame(2048, 512, 2048, length)
-        fir = design_lowpass(4)
-        model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+        model = AcquisitionModel(design_lowpass(4), 4, Quantizer(16), Quantizer(10))
         (_, x), = synth_corpus(1, 5, length / 16000, 16000)
         y1, y2 = simulate_acquisition(x, model)
-        cfg = SolverConfig(*default_steps(fir), rho=rho, lam=model.coarse.step / 2)
-        steps = _cva_steps(
-            y2.samples.copy(),
-            _DualBranchOperators(length, fir, 4),
-            frame,
-            consistency_set(y1.samples, model.fine),
-            consistency_set(y2.samples, model.coarse),
-            cfg,
-        )
+        steps = _steps_of(solver, rho, frame, model, y1, y2)
         next(steps)
         next(steps)
         tracemalloc.start()
@@ -258,17 +258,20 @@ class TestCvaStepAllocation:
         assert peak <= 2 * coeff_bytes
 
 
-def _step_generator(solver, rho, frame, model, y1, y2):
-    """The step generator of either solver from ``y2``, at default steps
-    and ``lam`` half the coarse step."""
+def _steps_of(solver, rho, frame, model, y1, y2):
+    """The step generator of either solver's problem from ``y2``, at
+    default steps and ``lam`` half the coarse step."""
     lam = model.coarse.step / 2
     coarse_set = consistency_set(y2.samples, model.coarse)
     if solver == "cpa":
-        return _cpa_steps(y2.samples.copy(), frame, coarse_set, SolverConfig(1.0, 1.0, lam=lam))
-    cfg = SolverConfig(*default_steps(model.filter), rho=rho, lam=lam)
-    ops = _DualBranchOperators(frame.signal_len, model.filter, model.factor)
-    fine_set = consistency_set(y1.samples, model.fine)
-    return _cva_steps(y2.samples.copy(), ops, frame, fine_set, coarse_set, cfg)
+        cfg = SolverConfig(1.0, 1.0, lam=lam)
+        branches, primal_box = [], coarse_set
+    else:
+        cfg = SolverConfig(*default_steps(model.filter), rho=rho, lam=lam)
+        ops = _DualBranchOperators(frame.signal_len, model.filter, model.factor)
+        branches = [(ops, consistency_set(y1.samples, model.fine)), (None, coarse_set)]
+        primal_box = None
+    return _step_generator(y2.samples.copy(), _L1Branch(frame, cfg), cfg, branches, primal_box)
 
 
 def _peak_bytes(call):
@@ -323,14 +326,14 @@ class TestBlockScratch:
     def _steps(cls, solver, rho):
         """A step generator of either solver on :meth:`_problem`."""
         frame, model, _, y1, y2 = cls._problem()
-        return _step_generator(solver, rho, frame, model, y1, y2), frame
+        return _steps_of(solver, rho, frame, model, y1, y2), frame
 
     @pytest.mark.parametrize(
         "solver, rho, signals",
         # the iterate, the best iterate, the coarse dual and the work vector
         # plus the fine dual and its prox argument (L / 4 each), or the
-        # iterate, the best iterate, the look-ahead point and the primal step
-        [("cva", 1.0, 4.5), ("cva", 1.5, 4.5), ("cpa", 1.0, 4.0)],
+        # iterate, the best iterate and the work vector
+        [("cva", 1.0, 4.5), ("cva", 1.5, 4.5), ("cpa", 1.0, 3.0)],
     )
     def test_solve_peaks_at_its_state_plus_three_mib(self, solver, rho, signals):
         # a whole solve with a reference, boxes and gap included, peaks at
@@ -371,12 +374,17 @@ class TestBlockScratch:
         coeff_bytes = frame.num_coeffs * np.dtype(np.complex128).itemsize
         assert peak - held <= 0.5 * coeff_bytes
 
-    @pytest.mark.parametrize("rho", [1.0, 1.5])
-    def test_cva_step_peaks_below_one_signal_array(self, rho):
-        # the (D_k B)^* term is added into the gradient, and both box
-        # projections are formed in the gradient once the primal step has
-        # been taken, so a step makes no signal-length temporary
-        steps, frame = self._steps("cva", rho)
+    @pytest.mark.parametrize(
+        "solver, rho",
+        [pytest.param("cva", 1.0, id="1.0"), pytest.param("cva", 1.5, id="1.5"),
+         pytest.param("cpa", 1.0, id="cpa")],
+    )
+    def test_cva_step_peaks_below_one_signal_array(self, solver, rho):
+        # the (D_k B)^* term is added into the gradient, the box projections
+        # are formed in the work vector, and the baseline's look-ahead point
+        # in the old iterate's buffer, so a step makes no signal-length
+        # temporary
+        steps, frame = self._steps(solver, rho)
         tracemalloc.start()
         try:
             next(steps)
@@ -393,9 +401,9 @@ class TestBlockScratch:
     @pytest.mark.parametrize(
         "solver, rho, arrays, signals",
         # the l1 dual and A x; the coarse dual and the one work vector plus
-        # the fine dual (L / 4), or the look-ahead point and the primal
-        # step (the iterate swaps with the start point's buffer)
-        [("cva", 1.0, 2, 2.25), ("cva", 1.5, 2, 2.25), ("cpa", 1.0, 2, 2.0)],
+        # the fine dual (L / 4), or the one work vector alone (the iterate
+        # and the work vector swap with the start point's buffer)
+        [("cva", 1.0, 2, 2.25), ("cva", 1.5, 2, 2.25), ("cpa", 1.0, 2, 1.0)],
     )
     def test_step_holds_its_coefficient_arrays_plus_one_mib(self, solver, rho, arrays, signals):
         # the analysis and the l1 dual update run a block of frames at a
@@ -481,7 +489,7 @@ class TestSeveralBlocks:
         # A x is carried by linearity, not analyzed: check it against a
         # direct analysis of each iterate
         frame, model, _, y1, y2 = problem
-        steps = _step_generator(solver, rho, frame, model, y1, y2)
+        steps = _steps_of(solver, rho, frame, model, y1, y2)
         for _ in range(8):
             x, l1 = next(steps)
             coeffs = analyze(frame, x).reshape(frame.coeff_shape)
@@ -567,20 +575,22 @@ class TestSolverConfig:
                 SolverConfig(**kwargs)
         unset = SolverConfig()
         assert unset.tau is unset.sigma is None
-        # each solver fills in steps that meet its own condition
-        unset.validate_for_cva(1.0)
-        unset.validate_for_cpa()
+        # each problem's bound fills in equal steps that meet its condition
+        for bound in (_norm_bound(IMPULSE), _norm_bound(None)):
+            filled = unset.with_steps_for(bound)
+            assert filled.tau == filled.sigma == 1.0 / np.sqrt(bound)
+            assert filled.with_steps_for(bound) is filled
 
     def test_dual_branch_step_condition(self):
         cfg = SolverConfig(1.0, 1.0)
-        with pytest.raises(ValueError):
-            cfg.validate_for_cva(1.0)
-        SolverConfig(TAU, SIGMA).validate_for_cva(1.0)
+        with pytest.raises(ValueError, match=r"norm bound 3 \(got 3\)"):
+            cfg.with_steps_for(_norm_bound(IMPULSE))
+        SolverConfig(TAU, SIGMA).with_steps_for(_norm_bound(IMPULSE))
 
     def test_single_branch_step_condition(self):
-        with pytest.raises(ValueError):
-            SolverConfig(1.1, 1.0).validate_for_cpa()
-        SolverConfig(1.0, 1.0).validate_for_cpa()
+        with pytest.raises(ValueError, match=r"norm bound 1 \(got 1\.1\)"):
+            SolverConfig(1.1, 1.0).with_steps_for(_norm_bound(None))
+        SolverConfig(1.0, 1.0).with_steps_for(_norm_bound(None))
 
     @pytest.mark.parametrize("solver", ["cva", "cpa"])
     def test_overflowing_l1_radius_rejected(self, solver):

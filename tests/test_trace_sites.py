@@ -1,5 +1,6 @@
 """Every trace site of the benchmark names a callable in ``src/dualquant``,
-and a dual-branch solve reaches every site of its iteration split.
+and a dual-branch solve reaches every site of its iteration split, as a
+baseline solve does those of its own.
 
 The traced benchmark wraps functions at the names listed in
 ``bench/dqbench/layers.py::SITES``; a hot-path function renamed in the
@@ -17,6 +18,7 @@ from dualquant import (
     AcquisitionModel,
     Quantizer,
     SolverConfig,
+    cpa_solve,
     cva_solve,
     default_steps,
     design_lowpass,
@@ -53,10 +55,10 @@ def _owner_and_name(where):
     return owner, name
 
 
-def _one_iteration_cva_calls(monkeypatch):
-    """Calls per site name of the iteration split in a one-iteration CVA
-    solve, counted through the names the benchmark traces."""
-    calls = dict.fromkeys(CVA_CHILDREN, 0)
+def _counted(monkeypatch, names):
+    """Calls per site name in ``names``, counted from now on through the
+    names the benchmark traces."""
+    calls = dict.fromkeys(names, 0)
     for where, name, _ in SITES:
         if name not in calls:
             continue
@@ -68,14 +70,24 @@ def _one_iteration_cva_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
+    return calls
 
+
+def _problem():
+    """A 32-frame signal (one block of frames), its model, observations and frame."""
     length = 4096
     (_, x), = synth_corpus(1, 3, length / 16000, 16000)
-    fir = design_lowpass(4, 33)
-    model = AcquisitionModel(fir, 4, Quantizer(16), Quantizer(10))
+    model = AcquisitionModel(design_lowpass(4, 33), 4, Quantizer(16), Quantizer(10))
     y1, y2 = simulate_acquisition(x, model)
-    frame = make_tight_frame(512, 128, 512, length)
-    cfg = SolverConfig(*default_steps(fir), max_iters=1)
+    return x, model, y1, y2, make_tight_frame(512, 128, 512, length)
+
+
+def _one_iteration_cva_calls(monkeypatch):
+    """Calls per site name of the iteration split in a one-iteration CVA
+    solve, counted through the names the benchmark traces."""
+    calls = _counted(monkeypatch, CVA_CHILDREN)
+    x, model, y1, y2, frame = _problem()
+    cfg = SolverConfig(*default_steps(model.filter), max_iters=1)
     cva_solve(y1, y2, model, frame, cfg, reference=x)
     return calls
 
@@ -92,4 +104,20 @@ def test_one_iteration_cva_solve_clips_and_synthesizes_once(monkeypatch):
     # median is a per-block cost) and synthesize once per iteration
     calls = _one_iteration_cva_calls(monkeypatch)
     assert calls["solvers.clip_complex"] == 1
+    assert calls["frames.synthesize"] == 1
+
+
+def test_one_iteration_cpa_solve_reaches_its_split_sites(monkeypatch):
+    # the baseline's per-layer split (cli-oneshot's `baseline` command)
+    # reads these names; its first dual update, at the start point, is a
+    # second analysis
+    calls = _counted(
+        monkeypatch,
+        ("frames.analyze", "frames.synthesize", "solvers.clip_complex",
+         "quantizers.project", "acquisition.sdr"),
+    )
+    x, model, _, y2, frame = _problem()
+    cpa_solve(y2, model.coarse, frame, SolverConfig(max_iters=1), reference=x)
+    assert [name for name, n in calls.items() if n == 0] == []
+    assert calls["frames.analyze"] == 2
     assert calls["frames.synthesize"] == 1
