@@ -99,7 +99,8 @@ def _from_json(cls, data, path, kind: str, section: str = ""):
     file ``path`` (its ``section``, for a nested dataclass); raise
     ``ValueError`` naming the file and the dotted key of the first missing,
     mistyped or unknown entry, or a section that is not an object.  A field
-    with a default may be left out."""
+    with a default may be left out.  An error ``cls`` raises on the values
+    names the file too."""
     if not isinstance(data, dict):
         if section:
             raise ValueError(f"{path}: {kind} key {section!r} is not an object")
@@ -123,7 +124,10 @@ def _from_json(cls, data, path, kind: str, section: str = ""):
     if unknown:
         where = f" in {section!r}" if section else ""
         raise ValueError(f"{path}: unknown {kind} keys {unknown}{where}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def automatic_lam(coarse_bits: int) -> float:

@@ -157,7 +157,10 @@ def make_tight_frame(
 
         w[n] = g[n] / sqrt(M * sum_j g[n - j*hop]^2)
     """
-    _check_painless(window_len, num_channels)  # before the window is allocated
+    # before the window is allocated
+    _check_painless(window_len, num_channels)
+    if num_channels > signal_len:
+        raise ValueError(f"channel count {num_channels} exceeds signal length {signal_len}")
     g = hann_window(window_len)
     if hop < 1 or hop > window_len:
         raise ValueError(f"hop must lie in [1, window_len]; got {hop}")

@@ -234,41 +234,42 @@ class _DualBranchOperators:
     folded onto the circle (tap t adds to tap t mod L), which is the same
     circulant operator; ``T`` is the folded tap count.
 
-    Both are overlap-save block convolutions with FFTs of ``N`` points
-    (Oppenheim & Schafer, *Discrete-Time Signal Processing*), each block
-    reading its input circularly.  ``P`` is ``T - 1`` rounded up to a
-    multiple of k, and ``N`` is k times the smallest power of two for which
-    ``N >= 4 * (P + k)``: one rule for every tap count, so the cost follows
-    the tap count and not L or how L factors (``N = 1024`` at k = 4 and the
-    default 129 taps).  Block b has ``Q = (N - P) / k`` samples of the short
-    side, starting at ``b * Q``, and ``k * Q`` of the signal, starting at
-    ``b * k * Q``.
+    Both are overlap-save block convolutions (Oppenheim & Schafer,
+    *Discrete-Time Signal Processing*) in polyphase form (Crochiere &
+    Rabiner 1983), each block reading its input circularly.  ``p`` is
+    ``(T - 1) / k`` rounded up, ``P = k * p``, and ``S`` is the smallest
+    power of two for which ``S >= 4 * (p + 1)``: one rule for every tap
+    count, so the cost follows the tap count and not L or how L factors
+    (``S = 256`` at k = 4 and the default 129 taps).  Block b has ``Q = S -
+    p`` samples of the short side, starting at ``b * Q``, and ``k * Q`` of
+    the signal, starting at ``b * k * Q``.
+
+    Output m is ``sum_r sum_i taps[k i + r] * v[k (m - i) - r]``: phase 0
+    of the signal (samples ``k j``) meets tap phase 0 (``taps[0::k]``), and
+    phase ``s > 0`` meets tap phase ``k - s`` one short sample later.  So
+    the pair holds one table of k S-point spectra, ``G_0 = H_0`` and ``G_s
+    = H_{k-s} * exp(-2 pi i f / S)``, with ``H_r`` the spectrum of
+    ``taps[r::k]``; each phase filter has at most ``p + 1`` taps.
 
     ``down_filter``: the signal is laid out circularly with its last ``P``
-    samples in front.  Each N-sample block is one ``rfft`` and a product
-    with the N-point taps spectrum; its samples ``P, P + k, ..`` are valid,
-    and they are the kept outputs.  Keeping every k-th sample folds the
-    spectrum onto ``N/k`` bins (bin g gathers bins ``g + r N/k``; those
-    above ``N/2`` are the conjugates of their mirrors), so the ``irfft``
-    runs at ``N/k`` points and forms every k-th sample only (the polyphase
-    view of decimation, Crochiere & Rabiner 1983).
+    samples in front.  Each block's ``k * S`` samples are copied phase-major
+    into k rows of S, run through one ``rfft``, multiplied by ``G`` and
+    summed over the phases; one S-point ``irfft`` gives the block's short
+    circular convolution, whose samples ``p .. S - 1`` are valid and are
+    the kept outputs.
 
-    ``up_filter_adjoint``: the adjoint is the circular correlation of the
-    zero-stuffed input with the taps.  Each block reads ``N/k`` inputs from
-    its start, and its first ``k * Q = N - P`` samples of an N-point
-    circular correlation with the taps are valid, since ``k * Q + T - 1 <=
-    N``.  The spectrum of the stuffed block is the ``N/k``-point spectrum of
-    the inputs repeated k times, so the ``rfft`` runs at ``N/k`` points and
-    no stuffed block is formed; the product is with the conjugate taps
-    spectrum.
+    ``up_filter_adjoint``: each block reads S inputs from its start.  One
+    S-point ``rfft``, a product with ``conj(G)`` per phase and one ``irfft``
+    give k circular correlations, whose first Q samples are valid, since
+    ``Q + p <= S``; sample q of phase s is sample ``k q + s`` of the block.
 
     The transforms run over chunks of about ``_CHUNK_SAMPLES`` samples, each
     read circularly into one line from the start of its first block b0
     (``b0 * k * Q - P`` down, ``b0 * Q`` up).  The instance holds the lines,
-    spectra and time blocks (none grows with L), so one instance serves one
-    solve at a time.  ``down_filter`` returns a fresh array (a view of one),
-    because with ``rho == 1`` the solver keeps its output as its fine-branch
-    dual.
+    the phase table and block scratch (none grows with L), so one instance
+    serves one solve at a time.  ``down_filter`` returns a fresh array (a
+    view of one), because with ``rho == 1`` the solver keeps its output as
+    its fine-branch dual.
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -278,81 +279,62 @@ class _DualBranchOperators:
         self.length = length
         self.short_len = length // factor
         taps = fold_taps(fir.taps, length)
-        self._lead = -(-(taps.size - 1) // k) * k
-        short = self._short = 1 << (-(-4 * (self._lead + k) // k) - 1).bit_length()
-        n = self._size = k * short
-        self._per_block = (n - 1 - self._lead) // k + 1
+        lead = self._lead = -(-(taps.size - 1) // k)
+        short = self._short = 1 << (4 * lead + 3).bit_length()
+        self._per_block = short - lead
         self._stride = k * self._per_block
         self._blocks = -(-self.short_len // self._per_block)
-        rows = self._chunk = min(max(1, _CHUNK_SAMPLES // n), self._blocks)
-        # the 1/k of the spectral fold rides on the taps spectrum
-        spectrum = np.fft.rfft(taps, n)
-        self._spectrum = spectrum / k
-        self._spectrum_conj = np.conj(spectrum)
-        self._line = np.empty((rows - 1) * self._stride + n)
-        self._windows = sliding_window_view(self._line, n)[:: self._stride]
+        rows = self._chunk = min(max(1, _CHUNK_SAMPLES // (k * short)), self._blocks)
+        padded = np.zeros(k * short)
+        padded[: taps.size] = taps
+        # row s of the table is tap phase -s mod k, delayed one sample if s > 0
+        spectra = np.fft.rfft(padded.reshape(short, k).T, axis=1)[-np.arange(k) % k]
+        spectra[1:] *= np.exp(-2j * np.pi * np.arange(short // 2 + 1) / short)
+        self._table, self._table_conj = spectra, np.conj(spectra)
+        self._line = np.empty((rows - 1) * self._stride + k * short)
+        self._windows = sliding_window_view(self._line, k * short)[:: self._stride]
         self._short_line = np.empty((rows - 1) * self._per_block + short)
         self._short_windows = sliding_window_view(self._short_line, short)[:: self._per_block]
-        self._spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-        self._half = np.empty((rows, short // 2 + 1), dtype=np.complex128)
-        self._full = np.empty((rows, short), dtype=np.complex128)
-        self._time = np.empty((rows, n))
-        self._short_time = np.empty((rows, short))
+        self._phases = np.empty((rows, k, short))
+        self._phase_spec = np.empty((rows, k, short // 2 + 1), dtype=np.complex128)
+        self._spec = np.empty((rows, short // 2 + 1), dtype=np.complex128)
+        self._time = np.empty((rows, short))
 
     def down_filter(self, v: np.ndarray) -> np.ndarray:
-        k, lead, per_block = self.factor, self._lead, self._per_block
-        short = self._short
-        half = short // 2
+        k, short, per_block = self.factor, self._short, self._per_block
         out = np.empty((self._blocks, per_block))
         for b0 in range(0, self._blocks, self._chunk):
             rows = min(self._chunk, self._blocks - b0)
-            _fill_circular(self._line, v, b0 * self._stride - lead)
-            spec = np.fft.rfft(self._windows[:rows], axis=1, out=self._spec[:rows])
-            spec *= self._spectrum
-            # bin g of the fold gathers bins g + r * short for r < k/2, and
-            # the conjugates of bins s * short - g for 1 <= s <= k/2
-            fold, mirror = self._half[:rows], self._full[:rows, : half + 1]
-            fold[:] = spec[:, : half + 1]
-            for r in range(1, (k + 1) // 2):
-                fold += spec[:, r * short : r * short + half + 1]
-            for s in range(1, k // 2 + 1):
-                np.conj(spec[:, s * short - half : s * short + 1][:, ::-1], out=mirror)
-                fold += mirror
-            time = np.fft.irfft(fold, short, axis=1, out=self._short_time[:rows])
-            out[b0 : b0 + rows] = time[:, lead // k : lead // k + per_block]
+            _fill_circular(self._line, v, b0 * self._stride - k * self._lead)
+            phases = self._phases[:rows]
+            phases[...] = self._windows[:rows].reshape(rows, short, k).transpose(0, 2, 1)
+            spec = np.fft.rfft(phases, axis=2, out=self._phase_spec[:rows])
+            spec *= self._table
+            total = np.sum(spec, axis=1, out=self._spec[:rows])
+            time = np.fft.irfft(total, short, axis=1, out=self._time[:rows])
+            out[b0 : b0 + rows] = time[:, self._lead :]
         return out.reshape(-1)[: self.short_len]
 
-    def up_filter_adjoint(self, w: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-        """``B^T D_k^T w``, as a fresh array, or added into ``add_to`` (of
-        length L), which is returned: the solver adds it straight into its
-        gradient."""
-        n, short, stride = self._size, self._short, self._stride
-        half = short // 2
-        out = np.zeros(self.length) if add_to is None else add_to
+    def up_filter_adjoint(self, w: np.ndarray, add_to: np.ndarray) -> np.ndarray:
+        """``B^T D_k^T w`` added into ``add_to`` (of length L), which is
+        returned: the solver adds it straight into its gradient."""
+        k, short, per_block, stride = self.factor, self._short, self._per_block, self._stride
         # blocks 0 .. whole - 1 lie inside the signal; a last block past
         # them is cut at its end
         whole = self.length // stride
-        rows_of = out[: whole * stride].reshape(whole, stride)
+        rows_of = add_to[: whole * stride].reshape(whole, per_block, k)
+        tail = add_to[whole * stride :].reshape(-1, k)
         for b0 in range(0, self._blocks, self._chunk):
             rows = min(self._chunk, self._blocks - b0)
-            full = self._full[:rows]
-            _fill_circular(self._short_line, w, b0 * self._per_block)
-            spectrum = np.fft.rfft(self._short_windows[:rows], axis=1, out=self._half[:rows])
-            full[:, : half + 1] = spectrum
-            np.conj(spectrum[:, half - 1 : 0 : -1], out=full[:, half + 1 :])
-            spec = self._spec[:rows]
-            for r in range(0, n // 2 + 1, short):
-                width = min(short, n // 2 + 1 - r)
-                np.multiply(
-                    full[:, :width], self._spectrum_conj[r : r + width],
-                    out=spec[:, r : r + width],
-                )
-            time = np.fft.irfft(spec, n, axis=1, out=self._time[:rows])
+            _fill_circular(self._short_line, w, b0 * per_block)
+            spec = np.fft.rfft(self._short_windows[:rows], axis=1, out=self._spec[:rows])
+            spec = np.multiply(spec[:, None], self._table_conj, out=self._phase_spec[:rows])
+            time = np.fft.irfft(spec, short, axis=2, out=self._phases[:rows])
             inside = min(rows, whole - b0)
-            rows_of[b0 : b0 + inside] += time[:inside, :stride]
+            rows_of[b0 : b0 + inside] += time[:inside, :, :per_block].transpose(0, 2, 1)
             if inside < rows:
-                out[whole * stride :] += time[inside, : self.length - whole * stride]
-        return out
+                tail += time[inside, :, : len(tail)].T
+        return add_to
 
 
 def _box_dual_prox(p, box: ConsistencySet, scratch: np.ndarray):

@@ -370,8 +370,10 @@ class TestReconstruct:
             # JSON integers are exact: these pass an int check but have no float value
             (None, "normalization_scale", 10**400, "'normalization_scale' must be a finite"),
             ("solver", "lam", 10**400, "'solver.lam' must be a finite number"),
+            # a settings error names the file, as a type error does
+            ("solver", "rho", 3, "manifest.json: rho must lie strictly inside (0, 2), got 3"),
         ],
-        ids=["max_iters", "num_taps", "normalization_scale", "lam"],
+        ids=["max_iters", "num_taps", "normalization_scale", "lam", "rho"],
     )
     def test_manifest_value_rejected_before_allocation(
         self, workspace, capsys, monkeypatch, section, key, value, message
@@ -409,6 +411,26 @@ class TestReconstruct:
             assert main([command, str(outdir / "manifest.json")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "'padded_len' is 8589934592, but y2 has" in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_frame_size_bounded_by_the_padded_length(self, workspace, capsys, monkeypatch):
+        # padded_len matches y2, and window and channels agree with each
+        # other, but not with padded_len: no window of that length may be built
+        tmp_path, wav = workspace
+        outdir = simulate(tmp_path, wav, tmp_path / "run", iters="2")
+        manifest = read_manifest(outdir / "manifest.json")
+        manifest["frame"].update(window_len=2**33, num_channels=2**33)
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+
+        def refuse_window(length):
+            pytest.fail(f"hann_window ran with {length} samples before they were checked")
+
+        monkeypatch.setattr(frames, "hann_window", refuse_window)
+        capsys.readouterr()
+        for command in ("reconstruct", "baseline"):
+            assert main([command, str(outdir / "manifest.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "channel count 8589934592 exceeds" in err
             assert len(err.strip().splitlines()) == 1
 
 

@@ -96,8 +96,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [{"coarse_bitz": [4]}, {"k": "4"}, {"coarse_bits": [8, "10"]}, [1, 2]],
-        ids=["unknown-key", "mistyped-scalar", "mistyped-list-entry", "not-an-object"],
+        [
+            {"coarse_bitz": [4]}, {"k": "4"}, {"coarse_bits": [8, "10"]}, [1, 2],
+            {"rho": 3}, {"coarse_bits": [40]}, {"lambda_table": {"10,20": "0.5"}},
+        ],
+        ids=[
+            "unknown-key", "mistyped-scalar", "mistyped-list-entry", "not-an-object",
+            "rho-out-of-range", "bit-depth-out-of-range", "mistyped-table-entry",
+        ],
     )
     def test_config_file_errors_name_the_file(self, tmp_path, data):
         path = tmp_path / "cfg.json"

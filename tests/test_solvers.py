@@ -108,11 +108,11 @@ class TestClipComplex:
 # L at 27), k = 1 (no fold) and k = L/k.
 FOLD_SHAPES = [(27, 3), (45, 5), (60, 4), (63, 7), (64, 1), (30, 2)]
 FOLD_FIR = FirFilter(np.random.default_rng(7).standard_normal(33))
-# (L, k, taps) at the block boundaries of the block-FFT pair (N = 1024 at
-# k = 4 and 129 taps, 768 at k = 3, 8192 at 1025 taps): a short last block
+# (L, k, taps) at the block boundaries of the block-FFT pair (S = 256 at
+# k = 4 and at k = 3 with 129 taps, 2048 at 1025 taps): a short last block
 # (L/k = 750 and 7000 are not multiples of the 224 and 213 outputs per
-# block), more than one chunk of blocks (49152), N longer than L (1025 taps
-# at 4096) and taps longer than L, folded onto the circle (1025 at 512).
+# block), more than one chunk of blocks (49152), S longer than L/k (1025
+# taps at 4096) and taps longer than L, folded onto the circle (1025 at 512).
 BLOCK_SHAPES = [
     (3000, 4, 129), (21000, 3, 129), (49152, 4, 129), (4096, 4, 1025), (512, 4, 1025)
 ]
@@ -153,7 +153,7 @@ class TestDualBranchOperators:
         for _ in range(10):
             w = rng.standard_normal(length // k)
             want = apply_filter_adjoint(upsample_adjoint(w, Downsampler(k), length), fir)
-            got = ops.up_filter_adjoint(w)
+            got = ops.up_filter_adjoint(w, np.zeros(length))
             assert got.shape == (length,)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -163,7 +163,7 @@ class TestDualBranchOperators:
         rng = np.random.default_rng(length * 10 + k + 1)
         ops = fold_ops(length, k, fir)
         w, base = rng.standard_normal(length // k), rng.standard_normal(length)
-        want = base + ops.up_filter_adjoint(w)
+        want = base + ops.up_filter_adjoint(w, np.zeros(length))
         got = base.copy()
         assert ops.up_filter_adjoint(w, add_to=got) is got
         np.testing.assert_array_equal(got, want)
@@ -191,9 +191,8 @@ class TestDualBranchOperators:
                 x = rng.standard_normal(length)
                 w = rng.standard_normal(length // k)
                 scale = np.linalg.norm(x) * np.linalg.norm(w)
-                err = abs(
-                    np.dot(ops.down_filter(x), w) - np.dot(x, ops.up_filter_adjoint(w))
-                ) / scale
+                adjoint = ops.up_filter_adjoint(w, np.zeros(length))
+                err = abs(np.dot(ops.down_filter(x), w) - np.dot(x, adjoint)) / scale
                 assert err < 1e-10
 
     def test_held_state_does_not_grow_with_length(self):
@@ -215,7 +214,9 @@ class TestDualBranchOperators:
         ops = fold_ops(length, k, design_lowpass(k, taps))
         calls = [
             (ops.down_filter, rng.standard_normal(length), length // k),
-            (ops.up_filter_adjoint, rng.standard_normal(length // k), length),
+            # the output array is allocated inside the traced call
+            (lambda w: ops.up_filter_adjoint(w, np.zeros(length)),
+             rng.standard_normal(length // k), length),
         ]
         for call, arg, out_len in calls:
             call(arg)
