@@ -82,11 +82,13 @@ def peak_normalize(x):
     return _rewrap(x, arr * (PEAK_TARGET / peak))
 
 
-def sdr(reference, estimate) -> float:
+def sdr(reference, estimate, reference_norm: float | None = None) -> float:
     """Signal-to-distortion ratio 20*log10(|x| / |x - x_hat|) in dB.
 
     Returns +inf when the estimate matches the reference exactly.  Both
-    norms are summed a block of samples at a time.
+    norms are summed a block of samples at a time.  A caller that scores
+    many estimates against one reference may pass ``|reference|``, summed
+    once the same way, as ``reference_norm``.
     """
     ref = samples_of(reference)
     est = samples_of(estimate)
@@ -94,7 +96,7 @@ def sdr(reference, estimate) -> float:
         raise ValueError(
             f"length mismatch: reference {ref.size} vs estimate {est.size}"
         )
-    ref_norm = _norm(ref)
+    ref_norm = _norm(ref) if reference_norm is None else reference_norm
     if ref_norm == 0.0:
         raise ValueError("reference signal is identically zero")
     err_norm = _norm(ref, est)

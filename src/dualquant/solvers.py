@@ -20,7 +20,10 @@ branch's dual update also gives ``A x`` of the new iterate by linearity,
 so the objective costs no transform.  ``_solve`` runs it for
 ``max_iters`` steps and does the rest: the objective and SDR traces, the
 best-SDR iterate, DEBUG logging of the relative primal change, the
-feasibility gap and the assembled :class:`SolverRun`.
+feasibility gap and the assembled :class:`SolverRun`.  The iteration
+shows it each move as the pair (new, old) before the old iterate's buffer
+is reused, so a solve copies an iterate only when the SDR turns down after
+it, and holds no copy when the best iterate is the last.
 
 The frame coefficients are the half-spectrum ones of :mod:`.frames`, in
 which ``|A x|_1`` of the full Gabor transform is ``sum(weight * |c|)``; the
@@ -220,6 +223,21 @@ def default_steps(b: FirFilter) -> tuple[float, float]:
     return cfg.tau, cfg.sigma
 
 
+def _unbuffered_product(a, b, out):
+    """``np.multiply(a, b, out=out)`` run with numpy's smallest ufunc
+    buffer (16 elements).  When a broadcast operand's contiguous runs are
+    shorter than the buffer (``np.getbufsize()``, 8192 elements by
+    default), numpy copies the operands through buffers of that size,
+    allocated per call; with the buffer no longer than a run it multiplies
+    in place.  The products are the same.  The buffer size is local to the
+    thread (a context variable), and restored."""
+    size = np.setbufsize(16)
+    try:
+        return np.multiply(a, b, out=out)
+    finally:
+        np.setbufsize(size)
+
+
 # Samples per chunk of blocks in the filter pair (32 blocks at the default
 # 129 taps).
 _CHUNK_SAMPLES = 32 * 1024
@@ -267,9 +285,11 @@ class _DualBranchOperators:
     read circularly into one line from the start of its first block b0
     (``b0 * k * Q - P`` down, ``b0 * Q`` up).  The instance holds the lines,
     the phase table and block scratch (none grows with L), so one instance
-    serves one solve at a time.  ``down_filter`` returns a fresh array (a
-    view of one), because with ``rho == 1`` the solver keeps its output as
-    its fine-branch dual.
+    serves one solve at a time.  Both directions add their output into a
+    given array, so the solver forms the fine-branch prox argument in its
+    dual and the gradient in its work vector; ``down_filter`` without one
+    returns a fresh array.  Each block's outputs are written in place
+    through a ``(blocks, Q)`` view of the output (``(blocks, Q, k)`` up).
     """
 
     def __init__(self, length: int, fir: FirFilter, factor: int):
@@ -300,20 +320,31 @@ class _DualBranchOperators:
         self._spec = np.empty((rows, short // 2 + 1), dtype=np.complex128)
         self._time = np.empty((rows, short))
 
-    def down_filter(self, v: np.ndarray) -> np.ndarray:
+    def down_filter(self, v: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+        """``D_k B v`` added into ``add_to`` (of length L/k), which is
+        returned, or into a fresh array of zeros without it: with ``rho ==
+        1`` the solver forms its fine-branch prox argument in the dual."""
         k, short, per_block = self.factor, self._short, self._per_block
-        out = np.empty((self._blocks, per_block))
+        out = np.zeros(self.short_len) if add_to is None else add_to
+        # blocks 0 .. whole - 1 lie inside the output; a last block past
+        # them is cut at its end
+        whole = self.short_len // per_block
+        rows_of = out[: whole * per_block].reshape(whole, per_block)
+        tail = out[whole * per_block :]
         for b0 in range(0, self._blocks, self._chunk):
             rows = min(self._chunk, self._blocks - b0)
             _fill_circular(self._line, v, b0 * self._stride - k * self._lead)
             phases = self._phases[:rows]
             phases[...] = self._windows[:rows].reshape(rows, short, k).transpose(0, 2, 1)
             spec = np.fft.rfft(phases, axis=2, out=self._phase_spec[:rows])
-            spec *= self._table
+            _unbuffered_product(spec, self._table, out=spec)
             total = np.sum(spec, axis=1, out=self._spec[:rows])
-            time = np.fft.irfft(total, short, axis=1, out=self._time[:rows])
-            out[b0 : b0 + rows] = time[:, self._lead :]
-        return out.reshape(-1)[: self.short_len]
+            time = np.fft.irfft(total, short, axis=1, out=self._time[:rows])[:, self._lead :]
+            inside = min(rows, whole - b0)
+            rows_of[b0 : b0 + inside] += time[:inside]
+            if inside < rows:
+                tail += time[inside, : len(tail)]
+        return out
 
     def up_filter_adjoint(self, w: np.ndarray, add_to: np.ndarray) -> np.ndarray:
         """``B^T D_k^T w`` added into ``add_to`` (of length L), which is
@@ -328,7 +359,7 @@ class _DualBranchOperators:
             rows = min(self._chunk, self._blocks - b0)
             _fill_circular(self._short_line, w, b0 * per_block)
             spec = np.fft.rfft(self._short_windows[:rows], axis=1, out=self._spec[:rows])
-            spec = np.multiply(spec[:, None], self._table_conj, out=self._phase_spec[:rows])
+            spec = _unbuffered_product(spec[:, None], self._table_conj, out=self._phase_spec[:rows])
             time = np.fft.irfft(spec, short, axis=2, out=self._phases[:rows])
             inside = min(rows, whole - b0)
             rows_of[b0 : b0 + inside] += time[:inside, :, :per_block].transpose(0, 2, 1)
@@ -348,16 +379,12 @@ def _box_dual_prox(p, box: ConsistencySet, scratch: np.ndarray):
     return p
 
 
-def _relax(y, target, rho: float):
+def _relax(y, target, rho: float) -> None:
     """``y + rho * (target - y)``, formed in ``y``, with ``target`` used as
-    scratch.  Returns the pair (new dual, free buffer): with ``rho == 1``
-    the two buffers swap and nothing is computed."""
-    if rho == 1.0:
-        return target, y
+    scratch."""
     target -= y
     target *= rho
     y += target
-    return y, target
 
 
 class _L1Branch:
@@ -412,7 +439,7 @@ class _L1Branch:
         return float(np.sum(self.l1_terms))
 
 
-def _step_generator(x, l1: _L1Branch, cfg: SolverConfig, branches, primal_box=None):
+def _step_generator(x, l1: _L1Branch, cfg: SolverConfig, branches, primal_box=None, moved=None):
     """The primal-dual iteration from ``x`` on ``lam * |A x|_1`` plus the
     indicators of each branch's box and of ``primal_box``; yields each
     iterate with the weighted l1 of its coefficients.
@@ -423,18 +450,19 @@ def _step_generator(x, l1: _L1Branch, cfg: SolverConfig, branches, primal_box=No
     The primal step projects onto a primal box and is then not relaxed
     (``cfg.rho`` must be 1).
 
-    The gradient ``A^* y1 + sum K^* y`` (divided by sigma) becomes the
-    primal step in one work vector.  With no primal box the step ``rho *
-    (x_tilde - x)``, ``x_tilde = x - tau * grad``, is added to ``x`` in
-    place, and the look-ahead point ``2 * x_tilde - x`` is the new iterate
-    plus ``(2 - rho) / rho`` times the step.  With one, ``x_tilde`` is
-    projected onto it, the look-ahead point is formed a block at a time in
-    the old iterate's buffer, and the two buffers swap.  The duals update
-    at the look-ahead point; with ``rho == 1`` the identity branch's dual
-    and the work vector swap.  So a run holds the iterate, one work vector,
-    the box duals and block scratch.
+    The gradient ``A^* y1 + sum K^* y`` (divided by sigma) becomes the new
+    iterate in one work vector: ``x + rho * (x_tilde - x)``, ``x_tilde = x
+    - tau * grad``, projected onto a primal box if there is one.  The old
+    iterate keeps its buffer until ``moved(new, old)``, when given, has
+    returned; then the look-ahead point ``2 * x_tilde - x``, which is ``new
+    + ((2 - rho) / rho) * (new - old)``, is written over it a block at a
+    time, and the two buffers swap.  The duals update at the look-ahead
+    point; with ``rho == 1`` each box branch forms its prox argument ``y +
+    K v`` in its dual.  So a run holds the iterate, one work vector, the
+    box duals and block scratch.
     """
     tau, sigma, rho = cfg.tau, cfg.sigma, cfg.rho
+    ahead = (2.0 - rho) / rho
     work = np.empty_like(x)
     duals = [np.zeros(x.size if op is None else op.short_len) for op, _ in branches]
     # one block of a box projection or of the look-ahead point
@@ -448,27 +476,35 @@ def _step_generator(x, l1: _L1Branch, cfg: SolverConfig, branches, primal_box=No
             else:
                 op.up_filter_adjoint(y, add_to=work)
         work *= -rho * tau * sigma
-        if primal_box is None:
-            x += work
-            if rho != 1.0:
-                work *= (2.0 - rho) / rho
-            work += x
-        else:
-            work += x
+        work += x
+        if primal_box is not None:
             project(primal_box, work, out=work)
-            for part in _sample_blocks(x.size):
-                block = np.multiply(work[part], 2.0, out=scratch[: part.stop - part.start])
+        if moved is not None:
+            moved(work, x)
+        for part in _sample_blocks(x.size):
+            block = scratch[: part.stop - part.start]
+            if rho == 1.0:
+                np.multiply(work[part], 2.0, out=block)
                 np.subtract(block, x[part], out=x[part])
-            x, work = work, x
+            else:
+                np.subtract(work[part], x[part], out=block)
+                block *= ahead
+                np.add(work[part], block, out=x[part])
+        x, work = work, x
         objective = l1.update(work)
-        for i, (op, box) in enumerate(branches):
-            # down_filter returns a fresh array: the buffer _relax frees
-            # from it is dropped at the next branch
-            p = work if op is None else op.down_filter(work)
-            p += duals[i]
-            duals[i], p = _relax(duals[i], _box_dual_prox(p, box, scratch), rho)
-            if op is None:
-                work = p
+        for (op, box), y in zip(branches, duals):
+            if rho == 1.0:
+                # the prox argument y + K v, formed in the dual itself
+                if op is None:
+                    y += work
+                else:
+                    op.down_filter(work, add_to=y)
+                _box_dual_prox(y, box, scratch)
+            else:
+                # K v in the work vector (the identity's) or a fresh array
+                p = work if op is None else op.down_filter(work)
+                p += y
+                _relax(y, _box_dual_prox(p, box, scratch), rho)
         yield x, objective
 
 
@@ -495,31 +531,39 @@ def _solve(x0, reference, frame: TfFrame, cfg: SolverConfig, branches, primal_bo
         # the baseline's first dual update runs at x0, before its first
         # step, so its n steps run n + 1 analyses
         l1.update(x)
-    steps = _step_generator(x, l1, cfg, branches, primal_box)
     objective = np.empty(cfg.max_iters)
     sdr_values = np.empty(cfg.max_iters) if ref is not None else None
+    ref_norm = _norm(ref.samples) if ref is not None else None
     best_sdr, best_x, best_iter = -math.inf, None, None
     debug = logger.isEnabledFor(logging.DEBUG)
+
+    def moved(new, old):
+        # called in iteration i (the loop below) between the move and the
+        # look-ahead point, which is then written over the old iterate
+        nonlocal best_sdr, best_x, best_iter
+        if debug:
+            rel = _norm(new, old) / max(_norm(old), 1e-300)
+            logger.debug("iter %d relative primal change %.3e", i + 1, rel)
+        if ref is None:
+            return
+        value = sdr_values[i] = sdr(ref, new, reference_norm=ref_norm)
+        if value > best_sdr:
+            best_sdr, best_iter = value, i + 1
+        elif best_iter == i:
+            # the old iterate is the best so far and is about to go: one
+            # buffer keeps it, allocated at the first downturn
+            if best_x is None:
+                best_x = old.copy()
+            else:
+                np.copyto(best_x, old)
+
+    steps = _step_generator(x, l1, cfg, branches, primal_box, moved)
     for i in range(cfg.max_iters):
-        # a copy, since the iteration updates its iterate in place
-        previous = x.copy() if debug else None
         x, l1_norm = next(steps)
         objective[i] = cfg.lam * l1_norm
-        if debug:
-            rel = _norm(x, previous) / max(_norm(previous), 1e-300)
-            logger.debug("iter %d relative primal change %.3e", i + 1, rel)
-        if ref is not None:
-            value = sdr_values[i] = sdr(ref, x)
-            if value > best_sdr:
-                # one buffer for the best iterate, filled at each improvement
-                if best_x is None:
-                    best_x = x.copy()
-                else:
-                    np.copyto(best_x, x)
-                best_sdr, best_iter = value, i + 1
     # the iteration's arrays are freed before the gap is measured
     steps.close()
-    selected = best_x if best_x is not None else x
+    selected = x if best_iter in (None, cfg.max_iters) else best_x
     coarse = fine = 0.0
     for op, box in boxes:
         if op is None:

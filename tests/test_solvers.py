@@ -1,4 +1,6 @@
+import itertools
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -168,8 +170,20 @@ class TestDualBranchOperators:
         assert ops.up_filter_adjoint(w, add_to=got) is got
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("length, k, fir", OPERATOR_CASES)
+    def test_down_filter_adds_into_the_given_array(self, length, k, fir):
+        # the solver's form at rho == 1: the fine prox argument, formed in
+        # the dual
+        rng = np.random.default_rng(length * 10 + k + 2)
+        ops = fold_ops(length, k, fir)
+        v, base = rng.standard_normal(length), rng.standard_normal(length // k)
+        want = base + ops.down_filter(v)
+        got = base.copy()
+        assert ops.down_filter(v, add_to=got) is got
+        np.testing.assert_array_equal(got, want)
+
     def test_down_filter_output_is_fresh(self):
-        # with rho == 1 the solver keeps the output as its fine-branch dual
+        # with rho != 1 the solver forms the fine prox argument in the output
         ops = fold_ops(3000, 4, random_fir(129))
         rng = np.random.default_rng(3)
         first = ops.down_filter(rng.standard_normal(3000))
@@ -208,25 +222,19 @@ class TestDualBranchOperators:
     def test_call_transients_bounded(self, taps):
         # One call of either direction at the hires-cva length holds no more
         # than its output plus a fixed bound: no index array, whole-signal
-        # spectrum or length-L scratch per call.
+        # spectrum, length-L scratch or numpy iterator buffer per call.
         length, k = 288768, 4
         rng = np.random.default_rng(taps)
         ops = fold_ops(length, k, design_lowpass(k, taps))
+        v, w = rng.standard_normal(length), rng.standard_normal(length // k)
+        short, full = np.zeros(length // k), np.zeros(length)
         calls = [
-            (ops.down_filter, rng.standard_normal(length), length // k),
-            # the output array is allocated inside the traced call
-            (lambda w: ops.up_filter_adjoint(w, np.zeros(length)),
-             rng.standard_normal(length // k), length),
+            (lambda: ops.down_filter(v), short.nbytes),
+            (lambda: ops.down_filter(v, add_to=short), 0),
+            (lambda: ops.up_filter_adjoint(w, add_to=full), 0),
         ]
-        for call, arg, out_len in calls:
-            call(arg)
-            tracemalloc.start()
-            try:
-                call(arg)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= out_len * 8 + 512 * 1024
+        for call, out_bytes in calls:
+            assert _peak_bytes(call) <= out_bytes + 80 * 1024
 
 
 class TestCvaStepAllocation:
@@ -332,10 +340,12 @@ class TestBlockScratch:
 
     @pytest.mark.parametrize(
         "solver, rho, signals",
-        # the iterate, the best iterate, the coarse dual and the work vector
-        # plus the fine dual and its prox argument (L / 4 each), or the
-        # iterate, the best iterate and the work vector
-        [("cva", 1.0, 4.5), ("cva", 1.5, 4.5), ("cpa", 1.0, 3.0)],
+        # the iterate, the coarse dual and the work vector plus the fine dual
+        # (L / 4), and at rho != 1 its prox argument (L / 4): the SDR rises
+        # in all three iterations, so no best iterate is copied; or the
+        # iterate, the work vector and the best iterate, copied when the
+        # baseline's SDR turns down after its first iteration
+        [("cva", 1.0, 3.25), ("cva", 1.5, 3.5), ("cpa", 1.0, 3.0)],
     )
     def test_solve_peaks_at_its_state_plus_three_mib(self, solver, rho, signals):
         # a whole solve with a reference, boxes and gap included, peaks at
@@ -399,6 +409,50 @@ class TestBlockScratch:
         finally:
             tracemalloc.stop()
         assert peak - held < frame.signal_len * 8
+
+    def test_fine_dual_updated_in_place_at_rho_one(self):
+        # at factor 1 the fine dual is as long as the signal, so a fresh
+        # D_k B output per step would be a signal-length allocation; with
+        # rho == 1 the prox argument is formed in the dual itself
+        from dualquant.experiment import synth_corpus
+
+        length = 262144
+        frame = make_tight_frame(2048, 512, 2048, length)
+        model = AcquisitionModel(design_lowpass(4), 1, Quantizer(16), Quantizer(10))
+        (_, x), = synth_corpus(1, 5, length / 16000, 16000)
+        y1, y2 = simulate_acquisition(x, model)
+        steps = _steps_of("cva", 1.0, frame, model, y1, y2)
+        tracemalloc.start()
+        try:
+            next(steps)
+            next(steps)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < length * 8
+
+    @pytest.mark.parametrize("solver", ["cva", "cpa"])
+    def test_debug_logging_copies_no_iterate(self, solver, caplog):
+        # the relative primal change comes from the new and the old iterate
+        # the iteration shows the solve, so DEBUG adds no signal-length copy
+        frame, model, x, y1, y2 = self._problem()
+        cfg = SolverConfig(lam=model.coarse.step / 2, max_iters=3)
+
+        def solve():
+            if solver == "cva":
+                cva_solve(y1, y2, model, frame, cfg, reference=x)
+            else:
+                cpa_solve(y2, model.coarse, frame, cfg, reference=x)
+
+        quiet = _peak_bytes(solve)
+        with caplog.at_level(logging.DEBUG, logger="dualquant.solvers"):
+            debug = _peak_bytes(solve)
+        assert len([r for r in caplog.records if "relative primal change" in r.getMessage()]) == 6
+        assert debug - quiet < frame.signal_len * 8 / 8
 
     @pytest.mark.parametrize(
         "solver, rho, arrays, signals",
@@ -849,9 +903,9 @@ class TestRunBookkeeping:
         x, y1, y2, model, frame = self._pipeline()
         references = []
 
-        def recorded(reference, estimate):
+        def recorded(reference, estimate, **kwargs):
             references.append(reference)
-            return sdr(reference, estimate)
+            return sdr(reference, estimate, **kwargs)
 
         monkeypatch.setattr(solvers, "sdr", recorded)
         cfg = SolverConfig(lam=0.01, max_iters=4)
@@ -904,6 +958,108 @@ class TestRunBookkeeping:
         run = cpa_solve(y2, model.coarse, frame, SolverConfig(1.0, 1.0, max_iters=15), reference=x)
         assert run.objective_trace.shape == (15,)
         assert run.feasibility_gap.coarse == 0.0
+
+
+# Scripted SDR values per iteration: the estimate and best_sdr_iter must be
+# those of the rule "copy the iterate at every strict improvement".
+SDR_SCRIPTS = {
+    "rise": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    "downturn": [1.0, 3.0, 2.0, 1.0, 0.5, 0.0],
+    "tie": [1.0, 3.0, 3.0, 2.0, 3.0, 2.5],
+    "inf": [1.0, math.inf, 5.0, math.inf, 2.0, 1.0],
+    "nan": [math.nan, 1.0, math.nan, 0.5, 2.0, math.nan],
+    "all-nan": [math.nan] * 6,
+    "new-best-after-downturn": [1.0, 3.0, 2.0, 4.0, 3.5, 5.0],
+    "first-is-best": [6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+}
+
+
+def _copy_at_every_improvement(values):
+    """0-based index of the value a copy at every strict improvement keeps,
+    or None."""
+    best, index = -math.inf, None
+    for i, value in enumerate(values):
+        if value > best:
+            best, index = value, i
+    return index
+
+
+class TestBestIterate:
+    """A solve sees each move as (new, old) before the old iterate's buffer
+    is reused, and copies the old one only when the SDR turns down after
+    it.  The selection is that of copying the iterate at every strict
+    improvement."""
+
+    SOLVERS = [("cva", 1.0), ("cva", 1.5), ("cpa", 1.0)]
+
+    @staticmethod
+    def _scripted(monkeypatch, values, seen=None):
+        """Patch the solver's ``sdr`` to return ``values`` in turn, from the
+        start again after the last (one solve each), and to append a copy of
+        each estimate to ``seen`` when it is given."""
+        from dualquant import solvers
+
+        calls = itertools.count()
+
+        def scripted(reference, estimate, **kwargs):
+            if seen is not None:
+                seen.append(np.array(estimate, copy=True))
+            return values[next(calls) % len(values)]
+
+        monkeypatch.setattr(solvers, "sdr", scripted)
+
+    @staticmethod
+    def _solve(solver, rho, problem, iters, reference=True):
+        frame, model, x, y1, y2 = problem
+        cfg = SolverConfig(rho=rho, lam=model.coarse.step / 2, max_iters=iters)
+        ref = x if reference else None
+        if solver == "cva":
+            return cva_solve(y1, y2, model, frame, cfg, reference=ref)
+        return cpa_solve(y2, model.coarse, frame, cfg, reference=ref)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        x, y1, y2, model, frame = TestRunBookkeeping()._pipeline()
+        return frame, model, x, y1, y2
+
+    @pytest.mark.parametrize("script", list(SDR_SCRIPTS))
+    @pytest.mark.parametrize("solver, rho", SOLVERS)
+    def test_selection_is_the_copy_at_every_improvement(self, monkeypatch, small, solver, rho,
+                                                        script):
+        values, seen = SDR_SCRIPTS[script], []
+        self._scripted(monkeypatch, values, seen)
+        run = self._solve(solver, rho, small, len(values))
+        assert len(seen) == len(values)
+        np.testing.assert_array_equal(run.sdr_trace, values)
+        index = _copy_at_every_improvement(values)
+        assert run.best_sdr_iter == (None if index is None else index + 1)
+        want = seen[-1] if index is None else seen[index]
+        np.testing.assert_array_equal(run.estimate.samples, want)
+
+    @pytest.mark.parametrize("iters", [1, 4])
+    def test_rising_sdr_holds_no_best_copy(self, monkeypatch, iters):
+        # the best iterate is the last, so a solve with a reference peaks
+        # where one without does: no fourth signal vector
+        problem = TestBlockScratch._problem()
+        length = problem[0].signal_len
+        self._scripted(monkeypatch, [float(i) for i in range(iters)])
+        for solver, rho in self.SOLVERS:
+            without = _peak_bytes(lambda: self._solve(solver, rho, problem, iters, False))
+            rising = _peak_bytes(lambda: self._solve(solver, rho, problem, iters))
+            assert rising - without < length * 8 / 8
+
+    def test_downturns_allocate_one_best_buffer(self, monkeypatch):
+        # a best buffer is allocated at the first downturn and refilled at
+        # the next ones, so three downturns hold one signal vector more
+        problem = TestBlockScratch._problem()
+        length = problem[0].signal_len
+        rise, downs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 0.0, 2.0, 1.0, 3.0, 2.0]
+        for solver, rho in self.SOLVERS:
+            peaks = []
+            for values in (rise, downs):
+                self._scripted(monkeypatch, values)
+                peaks.append(_peak_bytes(lambda: self._solve(solver, rho, problem, len(values))))
+            assert 0.875 * length * 8 < peaks[1] - peaks[0] < 1.125 * length * 8
 
 
 def test_pipeline_feasibility_gap_shrinks_with_iterations():
