@@ -40,7 +40,7 @@ from .signals import Signal, export_taps_csv, pad_to_multiple
 from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve
 from .wavio import _SAVED_FORMATS, _max_rate, load_wav, save_wav
 
-_ESTIMATE_BITS = 64  # bits per sample of the estimate reconstruct and baseline write
+_WAV_BITS = 64  # bits per sample of every WAV simulate, reconstruct and baseline write
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -107,9 +107,10 @@ class Manifest:
     """The run manifest: one recorded acquisition and the solver settings.
 
     ``simulate`` writes its ``dataclasses.asdict``; ``reconstruct`` and
-    ``baseline`` read it back with :func:`_read_manifest`.  Each annotation
-    is the JSON type of its key, and each section is a dataclass of its own
-    (``solver`` is :class:`SolverConfig`, whose defaulted keys may be left out).
+    ``baseline`` read it back with :func:`_from_json`; both apply its value
+    rules, ``__post_init__``.  Each annotation is the JSON type of its key,
+    and each section is a dataclass of its own (``solver`` is
+    :class:`SolverConfig`, whose defaulted keys may be left out).
     """
 
     k: int
@@ -124,30 +125,30 @@ class Manifest:
     solver: SolverConfig
     files: RunFiles
 
-
-def _read_manifest(path: Path) -> Manifest:
-    """The manifest at ``path``, its keys and value ranges checked."""
-    manifest = _from_json(Manifest, read_manifest(path), path, "manifest")
-    # reconstruct and baseline crop, save and rescale the estimate with these
-    # after the whole solve: a bad value would give a wrong file or fail there
-    upper = {"original_len": manifest.padded_len, "sample_rate_hz": _max_rate(_ESTIMATE_BITS)}
-    for key, top in upper.items():
-        value = getattr(manifest, key)
-        if not 1 <= value <= top:
-            raise ValueError(f"{path}: manifest key {key!r} is {value}, not in [1, {top}]")
-    if manifest.normalization_scale <= 0:
-        raise ValueError(
-            f"{path}: manifest key 'normalization_scale' must be positive, "
-            f"got {manifest.normalization_scale}"
-        )
-    return manifest
+    def __post_init__(self):
+        # the estimate is cropped, saved and rescaled with these after the
+        # whole solve, and simulate saves its files at this rate or below: a
+        # bad value would give a wrong file or fail there
+        upper = {
+            "original_len": (self.padded_len, ""),
+            "sample_rate_hz": (_max_rate(_WAV_BITS), f", the sample rates of a {_WAV_BITS}-bit WAV"),
+        }
+        for key, (top, what) in upper.items():
+            value = getattr(self, key)
+            if not 1 <= value <= top:
+                raise ValueError(f"manifest key {key!r} is {value}, not in [1, {top}]{what}")
+        if self.normalization_scale <= 0:
+            raise ValueError(
+                "manifest key 'normalization_scale' must be positive, "
+                f"got {self.normalization_scale}"
+            )
+        _check_filter_taps(self.filter.num_taps, self.padded_len)
 
 
 def _build_run(manifest: Manifest, path) -> tuple[TfFrame, AcquisitionModel]:
     """The frame and the acquisition model ``manifest`` describes.  All three
     commands build their run here, so ``simulate`` rejects what
     ``reconstruct`` and ``baseline`` would."""
-    _check_filter_taps(manifest.filter.num_taps, manifest.padded_len)
     fir = build_filter(manifest.k, manifest.filter.num_taps, manifest.filter.beta)
     if taps_digest(fir) != manifest.filter.sha256:
         raise ValueError(
@@ -190,9 +191,9 @@ def cmd_simulate(args) -> int:
     x_pad = pad_to_multiple(x.with_samples(x.samples * manifest.normalization_scale), target)
     y1, y2 = simulate_acquisition(x_pad, model)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_wav(outdir / manifest.files.y1, y1, bits=64)
-    save_wav(outdir / manifest.files.y2, y2, bits=64)
-    save_wav(outdir / manifest.files.reference, x_pad, bits=64)
+    save_wav(outdir / manifest.files.y1, y1, bits=_WAV_BITS)
+    save_wav(outdir / manifest.files.y2, y2, bits=_WAV_BITS)
+    save_wav(outdir / manifest.files.reference, x_pad, bits=_WAV_BITS)
     export_taps_csv(model.filter, outdir / "taps.csv")
     write_manifest(outdir / "manifest.json", dataclasses.asdict(manifest))
     print(outdir / "manifest.json")
@@ -203,7 +204,7 @@ def _load_run_inputs(args):
     """The manifest, its folder, the frame and model it describes, ``y2``
     and the reference (or None)."""
     path = Path(args.manifest)
-    manifest = _read_manifest(path)
+    manifest = _from_json(Manifest, read_manifest(path), path, "manifest")
     y2 = load_wav(args.y2 or path.parent / manifest.files.y2)
     # the frame is built for padded_len samples; y2 bounds it by a real file
     if len(y2) != manifest.padded_len:
@@ -239,7 +240,7 @@ def _write_run_outputs(args, manifest: Manifest, base, run: SolverRun, suffix: s
     # Back to the input's amplitude domain: drop padding, undo normalization.
     estimate = run.estimate.samples[: manifest.original_len]
     estimate = estimate / manifest.normalization_scale
-    save_wav(out, Signal(estimate, manifest.sample_rate_hz), bits=_ESTIMATE_BITS)
+    save_wav(out, Signal(estimate, manifest.sample_rate_hz), bits=_WAV_BITS)
     sdrs = repeat(None) if run.sdr_trace is None else run.sdr_trace
     _write_csv(trace, ["iteration", "objective", "sdr"], zip(count(1), run.objective_trace, sdrs))
     print(out)

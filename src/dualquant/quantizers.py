@@ -127,34 +127,31 @@ class ConsistencySet:
 
 def quantize(x, q: Quantizer):
     """Map each sample to its mid-riser reproduction level, with saturation."""
-    arr = samples_of(x)
     step = q.step
-    levels = step * (np.floor(arr / step) + 0.5)
-    return _rewrap(x, np.clip(levels, q.bottom_level, q.top_level))
+    levels = np.divide(samples_of(x), step)
+    np.floor(levels, out=levels)
+    levels += 0.5
+    levels *= step
+    return _rewrap(x, np.clip(levels, q.bottom_level, q.top_level, out=levels))
 
 
 def consistency_set(y, q: Quantizer) -> ConsistencySet:
     """Box of signals that quantize to the observation ``y``.
 
-    Each sample of ``y`` must sit on the quantizer's level grid (within
-    GRID_TOL).  Every cell spans one step around its level; the two
+    Each sample of ``y`` must lie within GRID_TOL of its level by
+    :func:`quantize`, which saturates, so a sample beyond the level range
+    is rejected too.  Every cell spans one step around its level; the two
     saturated cells end exactly at the range edges -1 and 1.  The box holds
     the levels and the half-step: the levels are ``y``'s own samples when
     each sits exactly on its level (so the box changes if they are
-    changed), else one snapped copy.
+    changed), else the quantized copy.
     """
     arr = samples_of(y)
-    step = q.step
-    levels = np.divide(arr, step)
-    levels -= 0.5
-    np.round(levels, out=levels)
-    levels += 0.5
-    levels *= step
+    levels = quantize(arr, q)
     distance = np.subtract(arr, levels)
     np.abs(distance, out=distance)
-    if distance.max() > GRID_TOL or levels.max() > q.top_level or levels.min() < q.bottom_level:
-        invalid = (distance > GRID_TOL) | (levels > q.top_level) | (levels < q.bottom_level)
-        i = int(np.argmax(invalid))
+    if distance.max() > GRID_TOL:
+        i = int(np.argmax(distance > GRID_TOL))
         raise ValueError(
             f"observation sample {arr[i]!r} at position {i} is not a "
             f"{q.bits}-bit reproduction level"
@@ -162,7 +159,7 @@ def consistency_set(y, q: Quantizer) -> ConsistencySet:
     del distance
     if np.array_equal(levels, arr):
         levels = arr
-    return ConsistencySet._of(levels, levels, step / 2)
+    return ConsistencySet._of(levels, levels, q.step / 2)
 
 
 def project(cs: ConsistencySet, x, out=None):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,3 +104,21 @@ class TestSdr:
         x = (1 - 2.0**-15) * np.sin(2 * np.pi * 997.0 * t)
         value = sdr(x, quantize(x, Quantizer(16)))
         assert value == pytest.approx(6.02 * 16 + 1.76, abs=1.5)
+
+    def test_arrays_scored_without_a_signal_length_temporary(self):
+        # the NaN scan of an array argument holds one block of samples, so
+        # two arrays peak no higher than the same two wrapped as Signals
+        rng = np.random.default_rng(2)
+        ref, est = rng.standard_normal((2, 300_000))
+
+        def peak(a, b):
+            sdr(a, b)  # warm-up
+            tracemalloc.start()
+            try:
+                sdr(a, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wrapped = peak(Signal(ref, 16000), Signal(est, 16000))
+        assert peak(ref, est) <= wrapped < ref.nbytes

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dualquant import cli, default_steps, experiment, frames, load_wav, sdr
 from dualquant.cli import main
-from dualquant.experiment import ExperimentConfig, build_filter, read_manifest
+from dualquant.experiment import ExperimentConfig, _from_json, build_filter, read_manifest
 
 
 @pytest.fixture
@@ -128,14 +128,15 @@ class TestSimulate(object):
         assert err.startswith("error:") and "factor k" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_rate_overflowing_the_wav_header_reported(self, tmp_path, capsys):
-        # a float64 WAV whose header rate is 2^32 - 1: its outputs' byte rate
-        # does not fit the 32-bit header field
+    # float64 WAVs whose outputs' byte rate does not fit the 32-bit header
+    # field: at 2^32 - 1 Hz none does; at 600 MHz y1's does (150 MHz), y2's not
+    @pytest.mark.parametrize("rate", [2**32 - 1, 600_000_000])
+    def test_rate_overflowing_the_wav_header_reported(self, tmp_path, capsys, rate):
         payload = np.random.default_rng(5).uniform(-0.5, 0.5, 4000).astype("<f8").tobytes()
         header = struct.pack(
             "<4sI4s4sIHHIIHH4sI",
             b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
-            3, 1, 2**32 - 1, 0, 8, 64, b"data", len(payload),
+            3, 1, rate, 0, 8, 64, b"data", len(payload),
         )
         wav = tmp_path / "fast.wav"
         wav.write_bytes(header + payload)
@@ -144,6 +145,8 @@ class TestSimulate(object):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "sample rate" in err
         assert len(err.strip().splitlines()) == 1
+        # refused before any file is written
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -346,7 +349,8 @@ class TestReconstruct:
         monkeypatch.setattr(cli, "_build_run", record)
         outdir = simulate(tmp_path, wav, tmp_path / "run")
         assert len(built) == 1
-        assert cli._read_manifest(outdir / "manifest.json") == built[0]
+        path = outdir / "manifest.json"
+        assert _from_json(cli.Manifest, read_manifest(path), path, "manifest") == built[0]
 
     @pytest.mark.parametrize("section", [None, "filter", "frame", "files"])
     def test_manifest_unknown_key_reported_in_every_section(self, workspace, capsys, section):

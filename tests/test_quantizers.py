@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,12 @@ class TestQuantizer:
         q = Quantizer(2)
         assert quantize(np.array([0.5]), q)[0] == 0.75
         assert quantize(np.array([0.0]), q)[0] == 0.25
+        # at the widest and narrowest steps too; the range edges 1 and -1
+        # saturate to the top and bottom levels
+        for bits in (1, 32):
+            q = Quantizer(bits)
+            out = quantize(np.array([0.0, -q.step, 1.0, -1.0]), q)
+            assert out.tolist() == [q.step / 2, -q.step / 2, q.top_level, q.bottom_level]
 
     @given(x=finite_samples, bits=st.integers(1, 16))
     def test_idempotent(self, x, bits):
@@ -60,6 +67,14 @@ class TestQuantizer:
             assert value == pytest.approx(6.02 * bits + 1.76, abs=1.5)
 
 
+def _assert_rejected_at(q, observation, position):
+    """``consistency_set`` rejects ``observation`` at sample ``position``."""
+    value = np.float64(observation[position])
+    message = f"observation sample {value!r} at position {position} is not a {q.bits}-bit"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        consistency_set(np.array(observation), q)
+
+
 class TestConsistencySet:
     def test_interior_cell(self):
         cs = consistency_set(np.array([0.25]), Quantizer(2))
@@ -73,18 +88,32 @@ class TestConsistencySet:
     def test_off_grid_rejected(self):
         with pytest.raises(ValueError):
             consistency_set(np.array([0.26]), Quantizer(2))
+        # a sample on a cell boundary lies half a step from both its levels
+        for bits in (1, 2, 32):
+            q = Quantizer(bits)
+            _assert_rejected_at(q, [q.top_level, q.step, 0.0], 1)
 
     def test_beyond_saturation_rejected(self):
         # on the half-step lattice but outside the level range
         with pytest.raises(ValueError):
             consistency_set(np.array([1.25]), Quantizer(2))
+        # one step past the top or bottom level, and the range edges
+        for bits in (1, 2, 32):
+            q = Quantizer(bits)
+            _assert_rejected_at(q, [q.bottom_level, q.top_level + q.step], 1)
+            _assert_rejected_at(q, [q.top_level, q.bottom_level - q.step, 0.0], 1)
+            _assert_rejected_at(q, [q.step / 2, 1.0], 1)
+            _assert_rejected_at(q, [-q.step / 2, q.top_level, -1.0], 2)
 
     def test_membership_of_unsaturated_samples(self):
         rng = np.random.default_rng(0)
         q = Quantizer(6)
         x = rng.uniform(-1 + q.step, 1 - q.step, size=500)
-        cs = consistency_set(quantize(x, q), q)
+        y = quantize(x, q)
+        cs = consistency_set(y, q)
         assert cs.max_violation(x) == 0
+        # a quantized array is its own box's levels
+        assert cs._lower is y and cs._upper is y
 
     def test_grid_tolerance_absorbs_storage_noise(self):
         q = Quantizer(12)

@@ -41,6 +41,14 @@ class TestSignal:
             Signal([0.0, np.nan], 16000)
         with pytest.raises(ValueError):
             Signal([np.inf], 16000)
+        # the scan reads the extremes: -Inf is the minimum, NaN amid finite
+        # samples of either sign, past the first block of samples
+        with pytest.raises(ValueError):
+            Signal([1.0, -np.inf], 16000)
+        samples = np.linspace(-1.0, 1.0, 40000)
+        samples[30000] = np.nan
+        with pytest.raises(ValueError):
+            Signal(samples, 16000)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
