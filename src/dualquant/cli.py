@@ -37,7 +37,7 @@ from .experiment import (
 from .frames import TfFrame, make_tight_frame
 from .quantizers import Quantizer
 from .signals import Signal, export_taps_csv, pad_to_multiple
-from .solvers import SolverConfig, SolverRun, cpa_solve, cva_solve
+from .solvers import SolverConfig, SolverRun, _l1_radius, _norm_bound, cpa_solve, cva_solve
 from .wavio import _SAVED_FORMATS, _max_rate, load_wav, save_wav
 
 _WAV_BITS = 64  # bits per sample of every WAV simulate, reconstruct and baseline write
@@ -185,8 +185,11 @@ def cmd_simulate(args) -> int:
         files=RunFiles(y1="y1.wav", y2="y2.wav", reference="reference.wav"),
     )
     outdir = Path(args.outdir)
-    # the run reconstruct and baseline will build, built before any file is written
-    _, model = _build_run(manifest, outdir / "manifest.json")
+    # the run reconstruct and baseline will build, built before any file is
+    # written, and the l1 clip radius of reconstruct's steps (the baseline's
+    # unit sigma gives a smaller one)
+    frame, model = _build_run(manifest, outdir / "manifest.json")
+    _l1_radius(frame, manifest.solver.with_steps_for(_norm_bound(fir)))
 
     x_pad = pad_to_multiple(x.with_samples(x.samples * manifest.normalization_scale), target)
     y1, y2 = simulate_acquisition(x_pad, model)

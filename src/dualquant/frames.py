@@ -27,8 +27,10 @@ inverse of analysis.
 Both transforms take an optional ``out=`` array, in the numpy idiom, so an
 iterative solver can keep its coefficient and signal buffers for a whole
 run.  Neither builds a weighted copy of the coefficients: the constant
-parts of the weights ride on the windows, and the DC and Nyquist bins are
-corrected on their own (see :func:`analyze` and :func:`synthesize`).
+scale factors ride on the windows (the sqrt(2) interior weight, and the
+synthesis ``irfft`` runs unscaled), and only the DC and Nyquist bins,
+one value per frame, are scaled on their own (see :func:`analyze` and
+:func:`synthesize`).
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ class TfFrame:
     signal_len: int
     num_frames: int = field(init=False, repr=False)
     coeff_weight: np.ndarray = field(init=False, repr=False)
-    # The tight window times sqrt(2) (analysis) and times M / sqrt(2)
-    # (synthesis): the interior-bin weight and the irfft scale, applied on
-    # the window instead of on the coefficients.
+    # The tight window times sqrt(2) (analysis) and over sqrt(2)
+    # (synthesis, whose irfft runs unscaled): the interior-bin weight,
+    # applied on the window instead of on the coefficients.
     _analysis_window: np.ndarray = field(init=False, repr=False)
     _synthesis_window: np.ndarray = field(init=False, repr=False)
 
@@ -136,7 +138,7 @@ class TfFrame:
         weight[1 : (m + 1) // 2] = math.sqrt(2.0)
         object.__setattr__(self, "coeff_weight", weight)
         object.__setattr__(self, "_analysis_window", math.sqrt(2.0) * tight)
-        object.__setattr__(self, "_synthesis_window", (m / math.sqrt(2.0)) * tight)
+        object.__setattr__(self, "_synthesis_window", tight / math.sqrt(2.0))
 
     @property
     def num_coeffs(self) -> int:
@@ -259,16 +261,19 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     ``out`` (a C-contiguous float64 array of ``signal_len`` samples) the
     signal is written there and ``out`` is returned.
 
-    The ``irfft`` runs on the coefficients as they are, and the window
-    carries ``M / sqrt(2)``: the interior bins need exactly that (``M``
-    undoes the ``irfft`` scale, ``1/sqrt(2)`` their weight).  DC and the
-    Nyquist bin have weight 1, so they are short by a factor sqrt(2); the
-    ``irfft`` is linear, so the missing part of segment sample ``t``,
-    ``((sqrt(2) - 1) / M) * (Re c[j, 0] + (-1)^t Re c[j, M/2])``, is added
-    before windowing.  Odd ``M`` has no Nyquist term.  The frames go
-    through the ``irfft`` in blocks of about ``_BLOCK_SAMPLES``
-    samples, into one scratch array per call; each block is overlap-added
-    into one line of samples, which is added circularly into the output.
+    The ``irfft`` runs unscaled (``norm="forward"``) on the coefficients
+    as they are, and the window carries ``1 / sqrt(2)``: the interior bins
+    need exactly that, since an unscaled ``irfft`` counts each of them
+    twice (for itself and its mirror) and their weight is sqrt(2).  DC and
+    the Nyquist bin have weight 1 and no mirror, so they are short by a
+    factor sqrt(2): each block's DC and (even ``M``) Nyquist inputs are
+    scaled by sqrt(2) for its ``irfft`` and their saved values written
+    back after it, so the call leaves ``coeffs`` bit-identical (a
+    read-only ``coeffs`` is copied once); no other thread may read
+    ``coeffs`` during the call.  The frames go through the
+    ``irfft`` in blocks of about ``_BLOCK_SAMPLES`` samples, into one
+    scratch array per call; each block is overlap-added into one line of
+    samples, which is added circularly into the output.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape not in ((frame.num_coeffs,), frame.coeff_shape):
@@ -281,10 +286,14 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     else:
         _check_out(out, ((length,),), np.float64)
     m, w, hop = frame.num_channels, frame.window.size, frame.hop
+    if not c.flags.writeable:
+        c = c.copy()
     c = c.reshape(frame.coeff_shape)
     rows, span = _block_rows(frame), -(-w // hop)
     scratch = np.empty((rows, m))
-    excess = (math.sqrt(2.0) - 1.0) / m
+    # the DC and (even M) Nyquist columns, one value per frame of a block
+    edges = slice(None, None, m // 2) if m % 2 == 0 else slice(0, 1)
+    saved = np.empty((rows, 2 - m % 2), dtype=np.complex128)
     # A block of frames is overlap-added into one line, hop-block q of frame
     # j0 + r on its hop-block r + q (the last of a window that is not whole
     # hops is narrower), and the line is added circularly from j0 * hop on.
@@ -293,14 +302,14 @@ def synthesize(frame: TfFrame, coeffs, out=None) -> np.ndarray:
     out[:] = 0.0
     for part in _frame_blocks(frame):
         j0, j1 = part.start, part.stop
-        segs = np.fft.irfft(c[j0:j1], n=m, axis=1, out=scratch[: j1 - j0])[:, :w]
-        dc = c[j0:j1, :1].real * excess
-        if m % 2 == 0:
-            nyquist = c[j0:j1, m // 2 :].real * excess
-            segs[:, 0::2] += dc + nyquist
-            segs[:, 1::2] += dc - nyquist
-        else:
-            segs += dc
+        block, kept = c[j0:j1], saved[: j1 - j0]
+        kept[...] = block[:, edges]
+        try:
+            np.multiply(kept, math.sqrt(2.0), out=block[:, edges])
+            segs = np.fft.irfft(block, n=m, axis=1, norm="forward", out=scratch[: j1 - j0])
+        finally:
+            block[:, edges] = kept
+        segs = segs[:, :w]
         segs *= frame._synthesis_window
         line[:] = 0.0
         for q in range(span):

@@ -203,11 +203,19 @@ def clip_complex(c, lam, out=None) -> np.ndarray:
 def _weighted_l1(c: np.ndarray, frame: TfFrame, out: np.ndarray) -> None:
     """Per-frame terms of ``|A_full x|_1`` from rows ``c`` of the
     half-spectrum coefficients of ``A x``: ``out[j] = sum(weight *
-    |c[j]|)``, so the terms of every frame sum to the l1 norm.  Each row
-    is summed on its own (no BLAS call)."""
+    |c[j]|)``, so the terms of every frame sum to the l1 norm.  The
+    weight is sqrt(2) on the interior bins and 1 on DC and Nyquist, so
+    each row's interior moduli are summed on their own (no BLAS call),
+    the sum is scaled by sqrt(2) and the DC and (even ``M``) Nyquist
+    moduli are added: the weight is applied once per frame, not once
+    per coefficient."""
+    m = frame.num_channels
     for part, moduli in _moduli(c):
-        moduli *= frame.coeff_weight
-        np.sum(moduli, axis=1, out=out[part])
+        terms = np.sum(moduli[:, 1 : (m + 1) // 2], axis=1, out=out[part])
+        terms *= math.sqrt(2.0)
+        terms += moduli[:, 0]
+        if m % 2 == 0:
+            terms += moduli[:, m // 2]
 
 
 def _norm_bound(fir: FirFilter | None) -> float:
@@ -265,9 +273,12 @@ class _DualBranchOperators:
     Output m is ``sum_r sum_i taps[k i + r] * v[k (m - i) - r]``: phase 0
     of the signal (samples ``k j``) meets tap phase 0 (``taps[0::k]``), and
     phase ``s > 0`` meets tap phase ``k - s`` one short sample later.  So
-    the pair holds one table of k S-point spectra, ``G_0 = H_0`` and ``G_s
-    = H_{k-s} * exp(-2 pi i f / S)``, with ``H_r`` the spectrum of
-    ``taps[r::k]``; each phase filter has at most ``p + 1`` taps.
+    the pair holds one table of k S-point spectra, ``G_0 = H_0 / S`` and
+    ``G_s = H_{k-s} * exp(-2 pi i f / S) / S``, with ``H_r`` the spectrum
+    of ``taps[r::k]``; each phase filter has at most ``p + 1`` taps.  The
+    table carries the ``1/S`` of the inverse transforms, which therefore
+    run unscaled (``norm="forward"``); S is a power of two, so this gives
+    the same bits as a scaled ``irfft``.
 
     ``down_filter``: the signal is laid out circularly with its last ``P``
     samples in front.  Each block's ``k * S`` samples are copied phase-major
@@ -310,6 +321,7 @@ class _DualBranchOperators:
         # row s of the table is tap phase -s mod k, delayed one sample if s > 0
         spectra = np.fft.rfft(padded.reshape(short, k).T, axis=1)[-np.arange(k) % k]
         spectra[1:] *= np.exp(-2j * np.pi * np.arange(short // 2 + 1) / short)
+        spectra /= short
         self._table, self._table_conj = spectra, np.conj(spectra)
         self._line = np.empty((rows - 1) * self._stride + k * short)
         self._windows = sliding_window_view(self._line, k * short)[:: self._stride]
@@ -339,7 +351,8 @@ class _DualBranchOperators:
             spec = np.fft.rfft(phases, axis=2, out=self._phase_spec[:rows])
             _unbuffered_product(spec, self._table, out=spec)
             total = np.sum(spec, axis=1, out=self._spec[:rows])
-            time = np.fft.irfft(total, short, axis=1, out=self._time[:rows])[:, self._lead :]
+            time = np.fft.irfft(total, short, axis=1, norm="forward", out=self._time[:rows])
+            time = time[:, self._lead :]
             inside = min(rows, whole - b0)
             rows_of[b0 : b0 + inside] += time[:inside]
             if inside < rows:
@@ -360,7 +373,7 @@ class _DualBranchOperators:
             _fill_circular(self._short_line, w, b0 * per_block)
             spec = np.fft.rfft(self._short_windows[:rows], axis=1, out=self._spec[:rows])
             spec = _unbuffered_product(spec[:, None], self._table_conj, out=self._phase_spec[:rows])
-            time = np.fft.irfft(spec, short, axis=2, out=self._phases[:rows])
+            time = np.fft.irfft(spec, short, axis=2, norm="forward", out=self._phases[:rows])
             inside = min(rows, whole - b0)
             rows_of[b0 : b0 + inside] += time[:inside, :, :per_block].transpose(0, 2, 1)
             if inside < rows:
@@ -387,6 +400,20 @@ def _relax(y, target, rho: float) -> None:
     y += target
 
 
+def _l1_radius(frame: TfFrame, cfg: SolverConfig) -> np.ndarray:
+    """The per-bin clip radius ``lam / sigma * weight`` of the l1 dual
+    (divided by sigma) at ``cfg``'s steps; ``ValueError`` when it
+    overflows the float range, which would clip at inf and turn the
+    iterate NaN."""
+    # Python floats: an overflow is inf, not a numpy warning
+    if not cfg.lam / cfg.sigma * float(frame.coeff_weight.max()) < math.inf:
+        raise ValueError(
+            f"the l1 clip radius lam / sigma * weight overflows (lam {cfg.lam:g}, "
+            f"sigma {cfg.sigma:g}); lower lam"
+        )
+    return (cfg.lam / cfg.sigma) * frame.coeff_weight
+
+
 class _L1Branch:
     """The l1 term of the iteration: its dual, divided by sigma, and
     ``A x`` of the running iterate, for the objective trace.
@@ -400,13 +427,7 @@ class _L1Branch:
     def __init__(self, frame: TfFrame, cfg: SolverConfig):
         shape = frame.coeff_shape
         self.frame, self.rho = frame, cfg.rho
-        # Python floats: an overflow is inf, not a numpy warning
-        if not cfg.lam / cfg.sigma * float(frame.coeff_weight.max()) < math.inf:
-            raise ValueError(
-                f"the l1 clip radius lam / sigma * weight overflows (lam {cfg.lam:g}, "
-                f"sigma {cfg.sigma:g}); lower lam"
-            )
-        self.radius = (cfg.lam / cfg.sigma) * frame.coeff_weight
+        self.radius = _l1_radius(frame, cfg)
         self.dual = np.zeros(shape, dtype=np.complex128)
         self.ax = np.empty(shape, dtype=np.complex128)
         # one block of the analysis of v, then of the clip's argument

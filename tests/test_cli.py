@@ -172,6 +172,18 @@ class TestSimulate(object):
         assert len(err.strip().splitlines()) == 1
         assert not (outdir / "manifest.json").exists()
 
+    def test_overflowing_l1_radius_refused_before_writing(self, workspace, capsys):
+        # lam / sigma * weight at the dual-branch steps overflows; reconstruct
+        # would refuse the manifest at solve time
+        tmp_path, wav = workspace
+        capsys.readouterr()
+        outdir = tmp_path / "o"
+        assert main(["simulate", str(wav), "--outdir", str(outdir), "--lam", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lam 1e+308, sigma 0." in err
+        assert len(err.strip().splitlines()) == 1
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

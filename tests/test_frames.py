@@ -214,6 +214,57 @@ class TestAnalyzeSynthesize:
         )
 
 
+class TestSynthesisInput:
+    """:func:`synthesize` scales the DC and Nyquist inputs of each block in
+    place for its ``irfft`` and writes them back."""
+
+    FRAMES = {
+        "odd": ODD_FRAME,  # no Nyquist bin
+        "even": make_tight_frame(8, 4, 8, 32),
+        "M=1": make_tight_frame(1, 1, 1, 4),
+        "M=2": make_tight_frame(2, 1, 2, 8),
+    }
+
+    @staticmethod
+    def _coeffs(frame, seed):
+        rng = np.random.default_rng(seed)
+        size = frame.num_coeffs
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    @pytest.mark.parametrize("name", list(FRAMES))
+    @pytest.mark.parametrize("shape", ["flat", "2-D"])
+    def test_input_left_bit_identical(self, name, shape, monkeypatch):
+        frame = self.FRAMES[name]
+        # blocks of two frames, so the write-back runs more than once
+        monkeypatch.setattr(frames, "_BLOCK_SAMPLES", 2 * frame.num_channels)
+        c = self._coeffs(frame, 3)
+        c[:2] = [-0.0, np.nan]
+        c = c if shape == "flat" else c.reshape(frame.coeff_shape)
+        before = c.tobytes()
+        synthesize(frame, c)
+        assert c.tobytes() == before
+
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_read_only_input_accepted(self, name):
+        frame = self.FRAMES[name]
+        c = self._coeffs(frame, 4)
+        expected = synthesize(frame, c)
+        locked = c.copy()
+        locked.setflags(write=False)
+        for view in (locked, np.broadcast_to(c, c.shape), locked.reshape(frame.coeff_shape)):
+            np.testing.assert_array_equal(synthesize(frame, view), expected)
+
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_matches_transpose_of_analysis_matrix(self, name):
+        # synthesis is the adjoint of analysis in the real inner product
+        # Re <A x, c>: Re(A^H c), in which the imaginary parts of the DC
+        # and Nyquist inputs drop out
+        frame = self.FRAMES[name]
+        c = self._coeffs(frame, 5)
+        expected = np.real(brute_force_matrix(frame).conj().T @ c)
+        np.testing.assert_allclose(synthesize(frame, c), expected, rtol=0, atol=1e-12)
+
+
 class TestBlockForm:
     """``analyze(.., rows=slice)`` analyzes a block of frames: the rows of
     the whole-signal call, bit for bit."""
